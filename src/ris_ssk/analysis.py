@@ -195,7 +195,9 @@ def analytic_abep(
             return abep_pb_two_tx(AbepQuery(rho=rho, n=n, nt=2)), None
         return None, None
     if scheme in ("astbc-fast", "astbc-optimal"):
-        q = AbepQuery(rho=rho, n=n, nt=nt, m=m or 2)
+        if m is None:
+            raise ValueError("coded schemes need a PSK order m")
+        q = AbepQuery(rho=rho, n=n, nt=nt, m=m)
         return abep_source(q), abep_ris(q)
     if scheme in ("intelligent-ris-ssk", "traditional-ssk"):
         return None, None

@@ -14,6 +14,7 @@ noiseless receive points of any two transmit antennas.  Optimizers provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class SdrDiagnostics:
     iterations: int
     converged: bool
     relaxation_objective: float
-    final_softmin: float
+    final_min: float
     candidate_index: int
     d_min: float
 
@@ -81,19 +82,27 @@ class SdrOptions:
             raise ValueError("temperature schedule must be nonempty")
 
 
+@lru_cache(maxsize=None)
+def _pairs(nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna index arrays (i, j) of every pair i < j, in row-major order."""
+    pairs = np.triu_indices(nt, 1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
+def _dmin(ch: ChannelRealization, coeffs: np.ndarray) -> np.ndarray:
+    """Minimum pairwise squared distance for each row of ``coeffs`` (..., N)."""
+    gains = (coeffs * ch.f) @ ch.G
+    i, j = _pairs(ch.nt)
+    return (np.abs(gains[..., i] - gains[..., j]) ** 2).min(axis=-1)
+
+
 def min_pairwise_distance(ch: ChannelRealization, phi) -> float:
     """Minimum squared distance between any two antennas' receive points."""
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
-    coeff = np.asarray(getattr(phi, "phi", phi))
-    gains = (ch.f * coeff) @ ch.G
-    best = np.inf
-    for a in range(ch.nt):
-        for b in range(a + 1, ch.nt):
-            d = abs(gains[a] - gains[b]) ** 2
-            if d < best:
-                best = d
-    return float(best)
+    return float(_dmin(ch, np.asarray(getattr(phi, "phi", phi))))
 
 
 def build_pair_matrix(ch: ChannelRealization, l: int, lhat: int) -> np.ndarray:
@@ -109,12 +118,8 @@ def build_pair_matrix(ch: ChannelRealization, l: int, lhat: int) -> np.ndarray:
 
 def _pair_rows(ch: ChannelRealization) -> np.ndarray:
     """Stacked rows a_p = f * (g_i - g_j) for all antenna pairs i < j."""
-    rows = [
-        ch.f * (ch.G[:, i] - ch.G[:, j])
-        for i in range(ch.nt)
-        for j in range(i + 1, ch.nt)
-    ]
-    return np.array(rows)
+    i, j = _pairs(ch.nt)
+    return (ch.f[:, None] * (ch.G[:, i] - ch.G[:, j])).T
 
 
 def optimal_two_tx(ch: ChannelRealization) -> ReflectionVector:
@@ -151,14 +156,9 @@ def low_complexity_beamform(ch: ChannelRealization) -> ReflectionVector:
     """
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
-    best_theta, best_d = None, -np.inf
-    for i in range(ch.nt):
-        for j in range(i + 1, ch.nt):
-            theta = -np.angle(ch.f) - np.angle(ch.G[:, i] - ch.G[:, j])
-            d = min_pairwise_distance(ch, np.exp(1j * theta))
-            if d > best_d:
-                best_d, best_theta = d, theta
-    return ReflectionVector(theta=best_theta)
+    i, j = _pairs(ch.nt)
+    theta = -np.angle(ch.f) - np.angle(ch.G[:, i] - ch.G[:, j]).T
+    return ReflectionVector(theta=theta[np.argmax(_dmin(ch, np.exp(1j * theta)))])
 
 
 def brute_force_beamform(
@@ -191,12 +191,7 @@ def brute_force_beamform(
             combos[: stop - start, col] = idx % levels
             idx = idx // levels
         block = combos[: stop - start]
-        weighted = table[block] * ch.f[None, :]
-        gains = weighted @ ch.G
-        dmin = np.full(stop - start, np.inf)
-        for a in range(ch.nt):
-            for b in range(a + 1, ch.nt):
-                np.minimum(dmin, np.abs(gains[:, a] - gains[:, b]) ** 2, out=dmin)
+        dmin = _dmin(ch, table[block])
         k = int(np.argmax(dmin))
         if dmin[k] > best_d:
             best_d = float(dmin[k])
@@ -205,103 +200,64 @@ def brute_force_beamform(
     return ReflectionVector(theta=_TWO_PI * best_combo / levels)
 
 
-def _softmin_value(q: np.ndarray, tau: float) -> float:
-    lo = q.min()
-    return float(lo - tau * np.log(np.mean(np.exp(-(q - lo) / tau))))
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared norm of every row (last axis) of a complex array."""
+    return (X * X.conj()).real.sum(axis=-1)
 
 
-def _solve_relaxation(
-    A: np.ndarray,
-    rank: int,
-    opts: SdrOptions,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize the softened minimum of tr(R_p X X^H) over unit-norm rows of X.
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Scale every row (last axis) to unit norm; a zero row becomes a constant one."""
+    norm = np.sqrt(_sq_norms(X))[..., None]
+    return np.divide(X, norm, out=np.full_like(X, X.shape[-1] ** -0.5), where=norm > 0)
 
-    Projected gradient ascent on the log-sum-exp soft minimum with an
-    annealed temperature; rows of X are renormalized after every step so
-    the lifted matrix keeps a unit diagonal.
+
+def _anneal(A, X, scale, temps, step, iterations, tol):
+    """Batched projected ascent on the soft minimum of the pair energies.
+
+    ``X`` stacks B independent problems as an (n, B, r) array of unit-norm
+    rows.  Problem b ascends the log-sum-exp soft minimum over k of
+    q_kb = ||(A X_b)_k||^2 at each temperature in turn, renormalizing rows
+    after every step.  Each problem keeps its own step (x1.2 on accept,
+    x0.5 on reject) and leaves a stage once an accepted gain falls below
+    ``tol`` times its objective (``tol=0`` never does) or its step
+    collapses.  The soft minimum's exponentials double as the gradient
+    weights.  Returns X, q (K, B), the steps each problem took, and which
+    problems left the last stage early.
     """
-    n = A.shape[1]
-    scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0
-    temps = np.asarray(opts.softmin_temperature_schedule) * scale
-    best_X, best_obj = None, -np.inf
-    iterations = 0
-    converged = False
-    for _ in range(max(1, opts.restarts)):
-        X = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        step = 1.0 / scale
-        last_stage_converged = False
-        for tau in temps:
-            q = np.einsum("kr,kr->k", A @ X, (A @ X).conj()).real
-            s_cur = _softmin_value(q, tau)
-            last_stage_converged = False
-            for _ in range(opts.solver_iterations):
-                iterations += 1
-                w = np.exp(-(q - q.min()) / tau)
-                w /= w.sum()
-                grad = A.conj().T @ (w[:, None] * (A @ X))
-                X_new = X + step * grad
-                X_new /= np.linalg.norm(X_new, axis=1, keepdims=True)
-                q_new = np.einsum("kr,kr->k", A @ X_new, (A @ X_new).conj()).real
-                s_new = _softmin_value(q_new, tau)
-                if s_new >= s_cur:
-                    gain = s_new - s_cur
-                    X, q, s_cur = X_new, q_new, s_new
-                    step *= 1.2
-                    if gain < 1e-8 * max(abs(s_cur), scale * 1e-12):
-                        last_stage_converged = True
-                        break
-                else:
-                    step *= 0.5
-                    if step < 1e-14 / scale:
-                        last_stage_converged = True
-                        break
-        obj = float(q.min())
-        if obj > best_obj:
-            best_obj, best_X = obj, X
-            converged = last_stage_converged
-    return best_X, best_obj, iterations, converged
+    n, B, r = X.shape
+    K = A.shape[0]
+    AH = np.ascontiguousarray(A.conj().T)
 
-
-def _polish_phases(A: np.ndarray, cand: np.ndarray, opts: SdrOptions) -> np.ndarray:
-    """Rank-one annealed ascent applied to each candidate column in parallel.
-
-    Finishes the solve on the feasible set itself: entries stay unit
-    modulus, so each polished column is a valid reflection vector.
-    """
-    scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0
-    temps = np.geomspace(0.3, 1e-4, 8) * scale
-    X = cand.copy()
-    C = X.shape[1]
-    step = np.full(C, 0.5 / scale)
-    for tau in temps:
-        Q = A @ X
-        q = (Q * Q.conj()).real
+    def softmin(Q, tau):
+        q = _sq_norms(Q)
         lo = q.min(axis=0)
-        s_cur = lo - tau * np.log(np.mean(np.exp(-(q - lo) / tau), axis=0))
-        for _ in range(60):
-            w = np.exp(-(q - q.min(axis=0)) / tau)
-            w /= w.sum(axis=0)
-            grad = A.conj().T @ (w * Q)
-            X_new = X + step[None, :] * grad
-            mag = np.abs(X_new)
-            X_new = np.where(mag > 0, X_new / np.where(mag > 0, mag, 1.0), 1.0)
-            Q_new = A @ X_new
-            q_new = (Q_new * Q_new.conj()).real
-            lo = q_new.min(axis=0)
-            s_new = lo - tau * np.log(np.mean(np.exp(-(q_new - lo) / tau), axis=0))
-            accept = s_new >= s_cur
-            if accept.any():
-                X[:, accept] = X_new[:, accept]
-                Q[:, accept] = Q_new[:, accept]
-                q[:, accept] = q_new[:, accept]
-                s_cur[accept] = s_new[accept]
-            step = np.where(accept, step * 1.2, step * 0.5)
-            if (step < 1e-14 / scale).all():
+        e = np.exp((lo - q) / tau)
+        total = e.sum(axis=0)
+        return lo - tau * np.log(total / K), e / total
+
+    Q = (A @ X.reshape(n, B * r)).reshape(K, B, r)
+    step = np.full(B, step)
+    taken = np.zeros(B, dtype=int)
+    for tau in temps:
+        s, w = softmin(Q, tau)
+        active = np.ones(B, dtype=bool)
+        for _ in range(iterations):
+            taken += active
+            grad = (AH @ (w[:, :, None] * Q).reshape(K, B * r)).reshape(n, B, r)
+            X_new = _unit_rows(X + step[:, None] * grad)
+            Q_new = (A @ X_new.reshape(n, B * r)).reshape(K, B, r)
+            s_new, w_new = softmin(Q_new, tau)
+            acc = active & (s_new >= s)
+            step = np.where(active, step * np.where(acc, 1.2, 0.5), step)
+            stop = (active ^ acc) & (step < 1e-14 / scale)
+            if tol:
+                stop |= acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12))
+            active ^= stop
+            X, Q = np.where(acc[:, None], X_new, X), np.where(acc[:, None], Q_new, Q)
+            w, s = np.where(acc, w_new, w), np.where(acc, s_new, s)
+            if not active.any():
                 break
-    return X
+    return X, _sq_norms(Q), taken, ~active
 
 
 def sdr_beamform(
@@ -324,39 +280,42 @@ def sdr_beamform(
     opts = opts or SdrOptions()
     rng = rng or np.random.default_rng(0)
     A = _pair_rows(ch)
-    K = A.shape[0]
+    K, T = A.shape[0], opts.rounding_count
     rank = opts.factor_rank or min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)
-    X, relax_obj, iterations, converged = _solve_relaxation(A, rank, opts, rng)
+    scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0
 
-    cand = np.empty((ch.n, opts.rounding_count), dtype=complex)
-    for t in range(opts.rounding_count):
-        r = (rng.standard_normal(rank) + 1j * rng.standard_normal(rank)) / np.sqrt(2)
-        raw = X @ r
-        mag = np.abs(raw)
-        cand[:, t] = np.where(mag > 0, raw / np.where(mag > 0, mag, 1.0), 1.0)
+    # Relaxation: maximize the soft minimum of tr(R_p X X^H) over n x rank
+    # factors with unit-norm rows (unit diagonal of the lifted matrix),
+    # one problem per restart; the best restart by hard minimum is kept.
+    z = rng.standard_normal((max(1, opts.restarts), 2, ch.n, rank))
+    X0 = _unit_rows((z[:, 0] + 1j * z[:, 1]).transpose(1, 0, 2))
+    temps = np.asarray(opts.softmin_temperature_schedule) * scale
+    X, q, taken, done = _anneal(A, X0, scale, temps, 1.0 / scale, opts.solver_iterations, 1e-8)
+    b = int(np.argmax(q.min(axis=0)))
 
-    d_raw = np.array([min_pairwise_distance(ch, cand[:, t]) for t in range(opts.rounding_count)])
-    order = np.lexsort((np.arange(opts.rounding_count), -d_raw))
+    # Gaussian randomization through the factor, then the rank-one polish
+    # on the unit-modulus set (unit norm of a length-1 row).
+    z = rng.standard_normal((T, 2, rank))
+    cand = _unit_rows((X[:, b] @ (z[:, 0] + 1j * z[:, 1]).T)[:, :, None])[:, :, 0]
+    d_raw = _dmin(ch, cand.T)
+    order = np.lexsort((np.arange(T), -d_raw))
     keep = order if opts.polish_top is None else order[: opts.polish_top]
-    polished = _polish_phases(A, cand[:, keep], opts)
+    temps = np.geomspace(0.3, 1e-4, 8) * scale
+    polished = _anneal(A, cand[:, keep, None], scale, temps, 0.5 / scale, 60, 0.0)[0][:, :, 0]
 
-    best_d, best_vec, best_idx = -np.inf, None, 0
-    for pos, t in enumerate(keep):
-        for vec in (polished[:, pos], cand[:, t]):
-            d = min_pairwise_distance(ch, vec)
-            if d > best_d:
-                best_d, best_vec, best_idx = d, vec, int(t)
-    for t in range(opts.rounding_count):
-        if d_raw[t] > best_d:
-            best_d, best_vec, best_idx = float(d_raw[t]), cand[:, t], t
-
-    q_final = np.abs(A @ best_vec) ** 2
+    # Scan order: each kept candidate polished then raw, then every raw
+    # candidate; the first maximum wins.
+    vecs = np.concatenate([np.stack([polished, cand[:, keep]], axis=2).reshape(ch.n, -1), cand], axis=1)
+    owner = np.concatenate([np.repeat(keep, 2), np.arange(T)])
+    d = _dmin(ch, vecs.T)
+    k = int(np.argmax(d))
+    best_vec = vecs[:, k]
     diag = SdrDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        relaxation_objective=relax_obj,
-        final_softmin=float(q_final.min()),
-        candidate_index=best_idx,
-        d_min=best_d,
+        iterations=int(taken.sum()),
+        converged=bool(done[b]),
+        relaxation_objective=float(q[:, b].min()),
+        final_min=float((np.abs(A @ best_vec) ** 2).min()),
+        candidate_index=int(owner[k]),
+        d_min=float(d[k]),
     )
     return ReflectionVector(theta=np.angle(best_vec), diagnostics=diag)

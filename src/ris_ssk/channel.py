@@ -16,7 +16,7 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 
 # Small fixed codes for the purposes the simulator itself uses; arbitrary
-# purpose strings fall back to a crc32-derived code.
+# purpose strings fall back to a crc32-derived code above them.
 _PURPOSE_CODES = {
     "channel": 0,
     "data": 1,
@@ -25,6 +25,7 @@ _PURPOSE_CODES = {
 }
 
 _TRIAL_LIMIT = 1 << 48
+SEED_LIMIT = 1 << 64
 
 
 def _purpose_code(purpose: str | int) -> int:
@@ -33,19 +34,20 @@ def _purpose_code(purpose: str | int) -> int:
     else:
         code = _PURPOSE_CODES.get(purpose)
         if code is None:
-            code = zlib.crc32(purpose.encode()) & 0xFFFF
+            reserved = len(_PURPOSE_CODES)
+            code = reserved + zlib.crc32(purpose.encode()) % ((1 << 16) - reserved)
     if not 0 <= code < (1 << 16):
         raise ValueError(f"purpose code out of range: {code}")
     return code
 
 
 def _philox_key(seed: int, trial: int, purpose: str | int) -> np.ndarray:
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if not 0 <= trial < _TRIAL_LIMIT:
         raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
     key = np.empty(2, dtype=np.uint64)
-    key[0] = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    key[0] = np.uint64(seed)
     key[1] = (np.uint64(trial) << np.uint64(16)) | np.uint64(_purpose_code(purpose))
     return key
 
@@ -73,7 +75,7 @@ class StreamBank:
         self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state
         self._purpose = np.uint64(_purpose_code(purpose))
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = np.uint64(seed)
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis, astbc_link, beamform, pb_link
-from .channel import NoiseModel, StreamBank, sample_channel, substream
+from .channel import SEED_LIMIT, NoiseModel, StreamBank, sample_channel, substream
 
 SCHEMES = (
     "pb",
@@ -60,6 +60,11 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+def _check_psk_order(m: int | None) -> None:
+    if m is None or m < 2 or m & (m - 1):
+        raise ConfigError("astbc schemes need a power-of-two PSK order m")
+
+
 @dataclass
 class SimConfig:
     """One sweep: a scheme, its dimensions, an SNR grid, and a trial budget.
@@ -99,16 +104,15 @@ class SimConfig:
         if self.scheme in _ASTBC_SCHEMES:
             if self.n % 2:
                 raise ConfigError("two-sub-surface coding needs an even element count")
-            if self.m is None or self.m < 2 or self.m & (self.m - 1):
-                raise ConfigError("astbc schemes need a power-of-two PSK order m")
+            _check_psk_order(self.m)
         if not self.snr_db_grid:
             raise ConfigError("SNR grid must be nonempty")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed must be in [0, 2^64)")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.target_errors is not None and self.target_errors < 1:
@@ -127,7 +131,7 @@ class BerRecord:
     trials: int
     source_errors: int
     ris_errors: int | None
-    ber_source: float
+    ber_source: float | None
     ber_ris: float | None
     analytic_source: float | None
     analytic_ris: float | None
@@ -309,7 +313,12 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
 def analytic_sweep(
     scheme: str, n: int, nt: int, m: int | None, snr_db_grid
 ) -> list[BerRecord]:
-    """Theory-only records over an SNR grid (no trials, no error counts)."""
+    """Theory-only records over an SNR grid (no trials, no error counts).
+
+    ``ber_source`` mirrors the closed form and is None where there is none.
+    """
+    if scheme in _ASTBC_SCHEMES:
+        _check_psk_order(m)
     records = []
     for snr_db in snr_db_grid:
         a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
@@ -323,7 +332,7 @@ def analytic_sweep(
                 trials=0,
                 source_errors=0,
                 ris_errors=None,
-                ber_source=a_src if a_src is not None else 0.0,
+                ber_source=a_src,
                 ber_ris=a_ris,
                 analytic_source=a_src,
                 analytic_ris=a_ris,

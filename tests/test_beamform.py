@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,19 @@ class TestLowComplexity:
         assert got == pytest.approx(max(cands), rel=1e-12)
         assert all(got >= c * (1 - 1e-12) for c in cands)
 
+    def test_matches_pairwise_reference_loop(self):
+        for trial in range(200):
+            ch = _channel(8, (2, 4, 8)[trial % 3], 43, trial)
+            best_theta, best_d = None, -np.inf
+            for i in range(ch.nt):
+                for j in range(i + 1, ch.nt):
+                    theta = -np.angle(ch.f) - np.angle(ch.G[:, i] - ch.G[:, j])
+                    d = min_pairwise_distance(ch, np.exp(1j * theta))
+                    if d > best_d:
+                        best_d, best_theta = d, theta
+            want = ReflectionVector(theta=best_theta).theta
+            assert np.array_equal(low_complexity_beamform(ch).theta, want)
+
 
 class TestBruteForce:
     def test_single_element_enumeration(self):
@@ -199,7 +214,28 @@ class TestIntelligentPhases:
             assert best >= abs(effective_gain(ch, psi, 2)) ** 2
 
 
+# d_min reported by sdr_beamform at default options on (n, nt, seed, trial)
+# channels, recorded from the restart-by-restart loop solver that the
+# batched ascent kernel replaced.
+SDR_GOLDEN_DMIN = [
+    (16, 4, 2026, 0, 95.9143116078761),
+    (16, 4, 2026, 1, 92.43807742424211),
+    (16, 4, 2026, 2, 103.63287885690981),
+    (4, 4, 2027, 0, 6.369030475269999),
+    (4, 4, 2027, 1, 1.1431887758532666),
+    (4, 4, 2027, 2, 1.7992984997439765),
+    (8, 2, 2028, 0, 91.67864409434704),
+    (8, 2, 2028, 1, 62.13383177610396),
+]
+
+
 class TestSdrBeamform:
+    @pytest.mark.parametrize("n,nt,seed,trial,d_min", SDR_GOLDEN_DMIN)
+    def test_golden_dmin(self, n, nt, seed, trial, d_min):
+        ch = _channel(n, nt, seed, trial)
+        rv = sdr_beamform(ch, rng=substream(seed, trial, "sdr"))
+        assert rv.diagnostics.d_min == pytest.approx(d_min, rel=1e-6)
+
     def test_unit_modulus_and_reported_dmin_reproducible(self):
         ch = _channel(6, 4, 67)
         rv = sdr_beamform(ch, rng=substream(67, 0, "sdr"))
@@ -232,6 +268,14 @@ class TestSdrBeamform:
             d_sdr = min_pairwise_distance(ch, sdr_beamform(ch, rng=substream(79, trial, "sdr")))
             wins += d_sdr >= 0.95 * d_grid
         assert wins >= 8
+
+    def test_zero_channel_gives_unit_modulus_and_zero_distance(self):
+        ch = ChannelRealization(G=np.ones((4, 3), complex), f=np.zeros(4, complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rv = sdr_beamform(ch, rng=substream(1, 0, "sdr"))
+        assert np.allclose(np.abs(rv.phi), 1.0)
+        assert rv.diagnostics.d_min == 0.0
 
     def test_deterministic_given_stream(self):
         ch = _channel(5, 4, 83)

@@ -37,9 +37,19 @@ class TestStreams:
         b = substream(1, 2, "weird-tag").standard_normal(4)
         assert np.array_equal(a, b)
 
+    def test_purpose_strings_avoid_fixed_codes(self):
+        # crc32("p21900") & 0xFFFF is 0, the "channel" code.
+        custom = substream(1, 0, "p21900").standard_normal(4)
+        for fixed in ("channel", "data", "sdr", "oracle"):
+            assert not np.array_equal(custom, substream(1, 0, fixed).standard_normal(4))
+
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             substream(-1, 0)
+        with pytest.raises(ValueError):
+            substream(2**64 + 5, 0)
+        with pytest.raises(ValueError):
+            StreamBank(2**64, "channel")
         with pytest.raises(ValueError):
             substream(0, 1 << 48)
         with pytest.raises(ValueError):

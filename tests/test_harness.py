@@ -50,6 +50,7 @@ class TestConfigValidation:
             dict(snr_db_grid=(-10.0, -12.0)),
             dict(trials=0),
             dict(seed=-1),
+            dict(seed=2**64 + 5),
             dict(workers=0),
             dict(target_errors=0),
         ],
@@ -136,6 +137,19 @@ class TestSweep:
     def test_wall_time_recorded_when_enabled(self):
         (r,) = run_ber_sweep(_cfg(snr_db_grid=(-10.0,), trials=500, record_wall_time=True))
         assert r.wall_time_s is not None and r.wall_time_s > 0
+
+
+class TestAnalyticSweep:
+    def test_missing_closed_form_leaves_ber_empty(self, tmp_path):
+        (r,) = analytic_sweep("traditional-ssk", 64, 2, None, [0.0])
+        assert r.ber_source is None and r.analytic_source is None
+        write_csv([r], tmp_path / "t.csv")
+        assert read_csv(tmp_path / "t.csv")[0].ber_source is None
+
+    def test_coded_schemes_require_psk_order(self):
+        for m in (None, 3):
+            with pytest.raises(ConfigError):
+                analytic_sweep("astbc-fast", 64, 4, m, [0.0])
 
 
 class TestDiversitySlope:
