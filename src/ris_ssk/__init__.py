@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .astbc_link import (
     AstbcFrame,
-    EquivalentChannel,
     combine,
     detect_astbc_fast,
     detect_astbc_optimal,

@@ -32,18 +32,6 @@ class AstbcFrame:
     bits_ris: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EquivalentChannel:
-    """Per-antenna sub-surface sums h1, h2 and combined gain |h1|^2+|h2|^2."""
-
-    h1: complex
-    h2: complex
-
-    @property
-    def gain(self) -> float:
-        return abs(self.h1) ** 2 + abs(self.h2) ** 2
-
-
 def psk_phases(m: int) -> np.ndarray:
     """The M-ary phase alphabet {0, 2pi/M, ..., 2pi(M-1)/M}."""
     if m < 2 or m & (m - 1):
@@ -121,13 +109,6 @@ def sub_surface_channels(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray
     return h1, h2
 
 
-def equivalent_channel(ch: ChannelRealization, l: int) -> EquivalentChannel:
-    if not 1 <= l <= ch.nt:
-        raise IndexError(f"antenna index {l} out of range 1..{ch.nt}")
-    h1, h2 = sub_surface_channels(ch)
-    return EquivalentChannel(h1=complex(h1[l - 1]), h2=complex(h2[l - 1]))
-
-
 def transmit_astbc(
     ch: ChannelRealization,
     frame: AstbcFrame,
@@ -140,19 +121,23 @@ def transmit_astbc(
     (pi - alpha2, -alpha1), which realizes the orthogonal code on the
     equivalent two-path channel.
     """
-    eq = equivalent_channel(ch, frame.l)
+    if not 1 <= frame.l <= ch.nt:
+        raise IndexError(f"antenna index {frame.l} out of range 1..{ch.nt}")
+    h1, h2 = sub_surface_channels(ch)
+    h1, h2 = h1[frame.l - 1], h2[frame.l - 1]
     w1 = sample_awgn(noise, rng)
     w2 = sample_awgn(noise, rng)
     a1, a2 = np.exp(1j * frame.alpha1), np.exp(1j * frame.alpha2)
-    y1 = a1 * eq.h1 + a2 * eq.h2 + w1
-    y2 = -np.conj(a2) * eq.h1 + np.conj(a1) * eq.h2 + w2
+    y1 = a1 * h1 + a2 * h2 + w1
+    y2 = -np.conj(a2) * h1 + np.conj(a1) * h2 + w2
     return y1, y2
 
 
-def combine(y1: complex, y2: complex, eq: EquivalentChannel) -> tuple[complex, complex]:
-    """Orthogonal-code combining; noiseless outputs are gain * e^{j alpha}."""
-    r1 = y1 * np.conj(eq.h1) + np.conj(y2) * eq.h2
-    r2 = y1 * np.conj(eq.h2) - np.conj(y2) * eq.h1
+def combine(y1, y2, h1, h2):
+    """Orthogonal-code combining through sub-surface sums h1, h2 (elementwise
+    over arrays); noiseless outputs are (|h1|^2 + |h2|^2) e^{j alpha}."""
+    r1 = y1 * np.conj(h1) + np.conj(y2) * h2
+    r2 = y1 * np.conj(h2) - np.conj(y2) * h1
     return r1, r2
 
 
@@ -198,8 +183,7 @@ def fast_antenna_metrics(
     """
     h1, h2 = sub_surface_channels(ch)
     psk = np.exp(1j * psk_phases(m))
-    r1 = y1 * np.conj(h1) + np.conj(y2) * h2
-    r2 = y1 * np.conj(h2) - np.conj(y2) * h1
+    r1, r2 = combine(y1, y2, h1, h2)
     gain = np.abs(h1) ** 2 + np.abs(h2) ** 2
     d1 = np.abs(r1[:, None] - gain[:, None] * psk[None, :]) ** 2
     d2 = np.abs(r2[:, None] - gain[:, None] * psk[None, :]) ** 2

@@ -58,28 +58,23 @@ class SdrOptions:
     """Knobs for :func:`sdr_beamform`.
 
     ``rounding_count`` Gaussian randomization vectors are drawn from the
-    relaxed solution; ``solver_iterations`` bounds the ascent steps spent
-    per temperature stage and restart.  ``factor_rank`` defaults to
-    min(N, ceil(sqrt(2K)) + 1) for K antenna pairs.  ``polish_top`` limits
-    how many rounded candidates get the unit-modulus polish stage (None
-    polishes all, which keeps the candidate set monotone in
-    ``rounding_count``).
+    relaxed solution, and every one of them is polished, so the candidate
+    set is monotone in ``rounding_count``.
     """
 
     rounding_count: int = 100
-    solver_iterations: int = 80
-    factor_rank: int | None = None
-    softmin_temperature_schedule: tuple[float, ...] = tuple(np.geomspace(1.0, 1e-4, 10))
-    restarts: int = 3
-    polish_top: int | None = None
 
     def __post_init__(self):
         if self.rounding_count < 1:
             raise ValueError("rounding_count must be at least 1")
-        if self.factor_rank is not None and self.factor_rank < 1:
-            raise ValueError("factor_rank must be at least 1")
-        if len(self.softmin_temperature_schedule) < 1:
-            raise ValueError("temperature schedule must be nonempty")
+
+
+# Relaxation solver settings: restarts, ascent steps per temperature stage
+# and restart, and the soft-minimum temperatures (times the pair-row scale).
+# The factor rank is min(N, ceil(sqrt(2K)) + 1) for K antenna pairs.
+_RESTARTS = 3
+_SOLVER_ITERATIONS = 80
+_TEMPERATURES = np.geomspace(1.0, 1e-4, 10)
 
 
 @lru_cache(maxsize=None)
@@ -105,17 +100,6 @@ def min_pairwise_distance(ch: ChannelRealization, phi) -> float:
     return float(_dmin(ch, np.asarray(getattr(phi, "phi", phi))))
 
 
-def build_pair_matrix(ch: ChannelRealization, l: int, lhat: int) -> np.ndarray:
-    """Rank-one PSD matrix R with phi^H R phi = |f^T diag(g_l - g_lhat) phi|^2."""
-    if l == lhat:
-        raise ValueError("antenna indices must differ")
-    for idx in (l, lhat):
-        if not 1 <= idx <= ch.nt:
-            raise IndexError(f"antenna index {idx} out of range 1..{ch.nt}")
-    a = ch.f * (ch.G[:, l - 1] - ch.G[:, lhat - 1])
-    return np.outer(a.conj(), a)
-
-
 def _pair_rows(ch: ChannelRealization) -> np.ndarray:
     """Stacked rows a_p = f * (g_i - g_j) for all antenna pairs i < j."""
     i, j = _pairs(ch.nt)
@@ -131,7 +115,8 @@ def optimal_two_tx(ch: ChannelRealization) -> ReflectionVector:
     """
     if ch.nt != 2:
         raise ValueError("closed form requires exactly two transmit antennas")
-    theta = -np.angle(ch.f) - np.angle(ch.G[:, 0] - ch.G[:, 1])
+    dg = ch.G[:, 0] - ch.G[:, 1]
+    theta = -np.arctan2(ch.f.imag, ch.f.real) - np.arctan2(dg.imag, dg.real)  # np.angle, minus its wrapper
     return ReflectionVector(theta=theta)
 
 
@@ -271,7 +256,8 @@ def sdr_beamform(
     factorization, draws ``rounding_count`` Gaussian vectors through the
     factor, normalizes each to unit modulus, polishes the candidates on
     the unit-modulus set, and returns the candidate with the largest
-    minimum pairwise distance.  Ties go to the lowest candidate index.
+    minimum pairwise distance.  Ties go to the candidate with the larger
+    raw distance (then the lower index), polished before raw.
     Deterministic given ``rng``; solver stall is not an error (the best
     iterate is used and flagged in the diagnostics).
     """
@@ -281,16 +267,17 @@ def sdr_beamform(
     rng = rng or np.random.default_rng(0)
     A = _pair_rows(ch)
     K, T = A.shape[0], opts.rounding_count
-    rank = opts.factor_rank or min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)
+    rank = min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)
     scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0
 
     # Relaxation: maximize the soft minimum of tr(R_p X X^H) over n x rank
     # factors with unit-norm rows (unit diagonal of the lifted matrix),
     # one problem per restart; the best restart by hard minimum is kept.
-    z = rng.standard_normal((max(1, opts.restarts), 2, ch.n, rank))
+    z = rng.standard_normal((_RESTARTS, 2, ch.n, rank))
     X0 = _unit_rows((z[:, 0] + 1j * z[:, 1]).transpose(1, 0, 2))
-    temps = np.asarray(opts.softmin_temperature_schedule) * scale
-    X, q, taken, done = _anneal(A, X0, scale, temps, 1.0 / scale, opts.solver_iterations, 1e-8)
+    X, q, taken, done = _anneal(
+        A, X0, scale, _TEMPERATURES * scale, 1.0 / scale, _SOLVER_ITERATIONS, 1e-8
+    )
     b = int(np.argmax(q.min(axis=0)))
 
     # Gaussian randomization through the factor, then the rank-one polish
@@ -299,14 +286,13 @@ def sdr_beamform(
     cand = _unit_rows((X[:, b] @ (z[:, 0] + 1j * z[:, 1]).T)[:, :, None])[:, :, 0]
     d_raw = _dmin(ch, cand.T)
     order = np.lexsort((np.arange(T), -d_raw))
-    keep = order if opts.polish_top is None else order[: opts.polish_top]
     temps = np.geomspace(0.3, 1e-4, 8) * scale
-    polished = _anneal(A, cand[:, keep, None], scale, temps, 0.5 / scale, 60, 0.0)[0][:, :, 0]
+    polished = _anneal(A, cand[:, order, None], scale, temps, 0.5 / scale, 60, 0.0)[0][:, :, 0]
 
-    # Scan order: each kept candidate polished then raw, then every raw
-    # candidate; the first maximum wins.
-    vecs = np.concatenate([np.stack([polished, cand[:, keep]], axis=2).reshape(ch.n, -1), cand], axis=1)
-    owner = np.concatenate([np.repeat(keep, 2), np.arange(T)])
+    # Scan order: each candidate polished then raw, best raw distance
+    # first; the first maximum wins.
+    vecs = np.stack([polished, cand[:, order]], axis=2).reshape(ch.n, -1)
+    owner = np.repeat(order, 2)
     d = _dmin(ch, vecs.T)
     k = int(np.argmax(d))
     best_vec = vecs[:, k]

@@ -8,12 +8,13 @@ processes.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # Small fixed codes for the purposes the simulator itself uses; arbitrary
 # purpose strings fall back to a crc32-derived code above them.
@@ -71,22 +72,30 @@ class StreamBank:
     """
 
     def __init__(self, seed: int, purpose: str | int):
-        self._bg = np.random.Philox(key=_philox_key(seed, 0, purpose))
+        key = _philox_key(seed, 0, purpose)
+        self._bg = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-        self._purpose = np.uint64(_purpose_code(purpose))
-        self._seed = np.uint64(seed)
+        # A fresh-stream state held as plain ints: the state setter converts
+        # them several times faster than numpy scalars.  Only key[1] changes
+        # per trial; counter, buffer position and the uint32 cache always
+        # restart, exactly as in a newly constructed generator.
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [int(key[0]), int(key[1])]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._key = self._state["state"]["key"]
+        self._purpose = _purpose_code(purpose)
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
         if not 0 <= trial < _TRIAL_LIMIT:
             raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
-        st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = self._seed
-        st["state"]["key"][1] = (np.uint64(trial) << np.uint64(16)) | self._purpose
-        st["buffer_pos"] = 4
-        self._bg.state = st
+        self._key[1] = (int(trial) << 16) | self._purpose
+        self._bg.state = self._state
         return self._gen
 
 
@@ -162,8 +171,10 @@ def sample_channel(
     if n < 1 or nt < 1:
         raise ValueError("channel dimensions must be at least 1")
     size = n * nt + n + (nt if with_direct else 0)
-    z = rng.standard_normal(2 * size)
-    zc = (z[0::2] + 1j * z[1::2]) / _SQRT2
+    # Consecutive (real, imaginary) draws scaled, then viewed as complex
+    # pairs: the same arithmetic numpy uses to divide a complex array by a
+    # real scalar (multiply by its reciprocal), so bit-identical to it.
+    zc = (rng.standard_normal(2 * size) * _INV_SQRT2).view(np.complex128)
     G = zc[: n * nt].reshape(n, nt)
     f = zc[n * nt : n * nt + n]
     d = zc[n * nt + n :] if with_direct else None
@@ -174,8 +185,9 @@ def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:
     """One zero-mean complex Gaussian noise sample with variance ``n0``."""
     if noise.n0 == 0:
         return 0j
-    z = rng.standard_normal(2)
-    return complex(z[0], z[1]) * np.sqrt(noise.n0 / 2.0)
+    re, im = rng.standard_normal(2).tolist()
+    scale = math.sqrt(noise.n0 / 2.0)
+    return complex(re * scale, im * scale)
 
 
 def effective_gain(ch: ChannelRealization, phi, l: int) -> complex:
@@ -189,7 +201,7 @@ def effective_gain(ch: ChannelRealization, phi, l: int) -> complex:
         raise ValueError("reflection vector length must match the element count")
     if not 1 <= l <= ch.nt:
         raise IndexError(f"antenna index {l} out of range 1..{ch.nt}")
-    return complex(np.sum(ch.f * coeff * ch.G[:, l - 1]))
+    return complex((ch.f * coeff * ch.G[:, l - 1]).sum())
 
 
 def all_effective_gains(ch: ChannelRealization, phi) -> np.ndarray:

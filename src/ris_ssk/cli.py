@@ -2,7 +2,7 @@
 
 Subcommands: ``sweep`` (Monte Carlo BER), ``analytic`` (theory curves),
 ``optimize`` (one channel, print phases and distance diagnostics), and
-``validate`` (consistency suite).  A flat key=value config file can seed
+``validate`` (acceptance criteria 6-10).  A flat key=value config file can seed
 any sweep; explicit flags override file entries.
 """
 
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounding-count", type=int, default=100, dest="rounding_count")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("validate", help="run the consistency suite")
+    p = sub.add_parser("validate", help="run acceptance criteria 6-10")
     p.add_argument("--level", default="fast", choices=("fast", "full"))
     p.set_defaults(func=_cmd_validate)
     return parser

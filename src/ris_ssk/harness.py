@@ -192,11 +192,12 @@ def _count_trials(
             ris_err += bin(k1 ^ k1hat).count("1") + bin(k2 ^ k2hat).count("1")
         return src_err, ris_err
 
+    symbols = [pb_link.SskSymbol(l=l, bits=pb_link.decode_ssk(l, nt)) for l in range(1, nt + 1)]
     for k in range(start, start + count):
         ch = sample_channel(n, nt, ch_bank.trial(k), with_direct=with_direct)
         rng = data_bank.trial(k)
         l = int(rng.integers(0, nt)) + 1
-        sym = pb_link.SskSymbol(l=l, bits=pb_link.decode_ssk(l, nt))
+        sym = symbols[l - 1]
         if scheme == "traditional-ssk":
             lhat = pb_link.transmit_detect_traditional_ssk(ch, sym, noise, rng)
         else:
@@ -463,149 +464,151 @@ class ValidationReport:
         return "\n".join(lines + [f"validation level={self.level}: {verdict}"])
 
 
-def _check_two_antenna(level: str) -> list[CheckResult]:
-    n_ch = 100 if level == "full" else 20
-    exact = 0
-    ok99 = 0
-    for t in range(n_ch):
-        ch = sample_channel(8, 2, substream(101, t, "oracle"))
-        d_opt = beamform.min_pairwise_distance(ch, beamform.optimal_two_tx(ch))
-        d_lc = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
-        exact += d_lc == d_opt
-        d_sdr = beamform.sdr_beamform(ch, rng=substream(101, t, "sdr")).diagnostics.d_min
-        ok99 += d_sdr >= 0.99 * d_opt
-    return [
-        CheckResult(
-            "two-antenna candidate-set optimality",
-            exact == n_ch,
-            f"{exact}/{n_ch} exact matches",
-            f"{n_ch}/{n_ch}",
-        ),
-        CheckResult(
-            "two-antenna relaxation quality",
-            ok99 == n_ch,
-            f"{ok99}/{n_ch} at >= 0.99x closed form",
-            f"{n_ch}/{n_ch}",
-        ),
-    ]
+# Acceptance criteria 6-10 at their pinned seeds.  Level "full" is the
+# acceptance gate itself; "fast" runs a prefix of the same streams.
 
 
 def _check_beamformer_vs_grid(level: str) -> list[CheckResult]:
-    n_ch = 100 if level == "full" else 12
-    need = 90 if level == "full" else 9
+    """Criterion 6: the relaxation against the 16-level grid and the candidate set."""
+    n_ch, need = (100, 90) if level == "full" else (12, 9)
     wins = 0
     sdr_ds, lc_ds = [], []
     for t in range(n_ch):
-        ch = sample_channel(4, 4, substream(202, t, "oracle"))
+        ch = sample_channel(4, 4, substream(606, t, "oracle"))
         d_grid = beamform.min_pairwise_distance(ch, beamform.brute_force_beamform(ch, 16))
-        rv = beamform.sdr_beamform(ch, rng=substream(202, t, "sdr"))
-        d_sdr = rv.diagnostics.d_min
-        sdr_ds.append(d_sdr)
+        rv = beamform.sdr_beamform(ch, rng=substream(606, t, "sdr"))
+        sdr_ds.append(beamform.min_pairwise_distance(ch, rv))
         lc_ds.append(beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch)))
-        wins += d_sdr >= 0.95 * d_grid
+        wins += sdr_ds[-1] >= 0.95 * d_grid
     return [
         CheckResult(
             "relaxation vs 16-level grid",
             wins >= need,
-            f"{wins}/{n_ch} at >= 0.95x grid optimum",
+            f"{wins}/{n_ch} channels at >= 0.95x grid optimum",
             f">= {need}/{n_ch}",
         ),
         CheckResult(
             "relaxation vs candidate-set mean",
             float(np.mean(sdr_ds)) >= float(np.mean(lc_ds)),
-            f"mean d_min {np.mean(sdr_ds):.3f} vs {np.mean(lc_ds):.3f}",
+            f"mean d_min {np.mean(sdr_ds):.3f} vs candidate-set {np.mean(lc_ds):.3f}",
             "relaxation mean >= candidate-set mean",
         ),
     ]
 
 
+def _check_two_antenna(level: str) -> list[CheckResult]:
+    """Criterion 7: candidate set and relaxation against the two-antenna closed form."""
+    n_ch = 100 if level == "full" else 20
+    exact = 0
+    ok99 = 0
+    for t in range(n_ch):
+        ch = sample_channel(8, 2, substream(707, t, "oracle"))
+        d_opt = beamform.min_pairwise_distance(ch, beamform.optimal_two_tx(ch))
+        d_lc = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
+        rv = beamform.sdr_beamform(ch, rng=substream(707, t, "sdr"))
+        exact += d_lc == d_opt
+        ok99 += beamform.min_pairwise_distance(ch, rv) >= 0.99 * d_opt
+    return [
+        CheckResult(
+            "two-antenna candidate-set optimality",
+            exact == n_ch,
+            f"candidate-set d_min exactly equals closed form on {exact}/{n_ch}",
+            f"{n_ch}/{n_ch}",
+        ),
+        CheckResult(
+            "two-antenna relaxation quality",
+            ok99 == n_ch,
+            f"relaxation >= 0.99x closed form on {ok99}/{n_ch}",
+            f"{n_ch}/{n_ch}",
+        ),
+    ]
+
+
+def _coded_frames(seed: int, count: int, n: int, nt: int, m: int, noise: NoiseModel):
+    """Yield (ch, y1, y2) for ``count`` random coded frames keyed by ``seed``."""
+    alphas = astbc_link.psk_phases(m)
+    for t in range(count):
+        ch = sample_channel(n, nt, substream(seed, t, "oracle"))
+        rng = substream(seed, t, "data")
+        draw = rng.integers(0, [nt, m, m])
+        frame = astbc_link.AstbcFrame(
+            int(draw[0]) + 1, float(alphas[draw[1]]), float(alphas[draw[2]]), (), ()
+        )
+        yield ch, *astbc_link.transmit_astbc(ch, frame, noise, rng)
+
+
 def _check_detectors(level: str) -> list[CheckResult]:
+    """Criterion 8: the fast detector's inner decisions and its agreement with ML."""
     frames_inner = 10_000 if level == "full" else 2_000
     inner_match = 0
-    noise = NoiseModel.from_snr_db(0.0)
-    for t in range(frames_inner):
-        ch = sample_channel(16, 4, substream(303, t, "oracle"))
-        rng = substream(303, t, "data")
-        l = int(rng.integers(0, 4)) + 1
-        k1, k2 = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-        alphas = astbc_link.psk_phases(8)
-        frame = astbc_link.AstbcFrame(l, float(alphas[k1]), float(alphas[k2]), (), ())
-        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise, rng)
+    for ch, y1, y2 in _coded_frames(808, frames_inner, 8, 4, 8, NoiseModel.from_snr_db(3.0)):
         _, i1, i2 = astbc_link.fast_antenna_metrics(y1, y2, ch, 8)
         cost = astbc_link.optimal_costs(y1, y2, ch, 8)
-        ok = True
-        for l0 in range(4):
-            j1, j2 = np.unravel_index(np.argmin(cost[l0]), (8, 8))
-            ok = ok and (i1[l0] == j1 and i2[l0] == j2)
-        inner_match += ok
+        j1, j2 = np.divmod(cost.reshape(4, -1).argmin(axis=1), 8)
+        inner_match += np.array_equal(i1, j1) and np.array_equal(i2, j2)
     frames_ag = 20_000 if level == "full" else 2_000
     agree = 0
-    noise_hi = NoiseModel.from_rho(100.0 / 64.0)
-    for t in range(frames_ag):
-        ch = sample_channel(64, 2, substream(304, t, "oracle"))
-        rng = substream(304, t, "data")
-        l = int(rng.integers(0, 2)) + 1
-        k1, k2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        alphas = astbc_link.psk_phases(2)
-        frame = astbc_link.AstbcFrame(l, float(alphas[k1]), float(alphas[k2]), (), ())
-        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise_hi, rng)
-        agree += astbc_link.detect_astbc_fast(y1, y2, ch, 2) == astbc_link.detect_astbc_optimal(y1, y2, ch, 2)
+    for ch, y1, y2 in _coded_frames(809, frames_ag, 64, 2, 2, NoiseModel.from_rho(100.0 / 64.0)):
+        fast = astbc_link.detect_astbc_fast(y1, y2, ch, 2)
+        agree += fast == astbc_link.detect_astbc_optimal(y1, y2, ch, 2)
     rate = agree / frames_ag
     return [
         CheckResult(
             "fast-detector inner phase decisions",
             inner_match == frames_inner,
-            f"{inner_match}/{frames_inner} frames identical to exhaustive inner search",
+            f"inner PSK decisions identical on {inner_match}/{frames_inner} frames",
             f"{frames_inner}/{frames_inner}",
         ),
         CheckResult(
             "fast vs optimal full-hypothesis agreement at rho*N=100",
             rate >= 0.99,
             f"agreement rate {rate:.4f}",
-            ">= 0.99",
+            ">= 0.99; exact equivalence not asserted",
         ),
     ]
 
 
 def _check_clt_moments(level: str) -> list[CheckResult]:
+    """Criterion 9: sample moments of the aligned cascade against the Gaussian approximation."""
     draws = 100_000 if level == "full" else 20_000
     n = 128
-    rng = substream(404, 0, "oracle")
+    rng = substream(909, 0, "oracle")
     total = np.empty(draws)
     chunk = 20_000
-    at = 0
-    while at < draws:
+    for at in range(0, draws, chunk):
         b = min(chunk, draws - at)
         z = rng.standard_normal((b, 4 * n))
         f = (z[:, 0:n] + 1j * z[:, n : 2 * n]) / np.sqrt(2)
         dg = z[:, 2 * n : 3 * n] + 1j * z[:, 3 * n :]
         total[at : at + b] = (np.abs(f) * np.abs(dg)).sum(axis=1)
-        at += b
     params = analysis.GaussianApproxParams.from_elements(n)
-    mean_err = abs(total.mean() - params.mu_v) / params.mu_v
-    var_err = abs(total.var(ddof=1) - params.sigma_v2) / params.sigma_v2
+    mean, var = total.mean(), total.var(ddof=1)
+    mean_err = abs(mean - params.mu_v) / params.mu_v
+    var_err = abs(var - params.sigma_v2) / params.sigma_v2
     return [
         CheckResult(
             "cascade mean (Gaussian approximation)",
             mean_err < 0.01,
-            f"sample mean {total.mean():.3f} vs {params.mu_v:.3f} (rel err {mean_err:.2e})",
+            f"sample mean {mean:.3f} vs {params.mu_v:.3f} (rel err {mean_err:.2e})",
             "within 1%",
         ),
         CheckResult(
             "cascade variance (Gaussian approximation)",
             var_err < 0.05,
-            f"sample var {total.var(ddof=1):.3f} vs {params.sigma_v2:.3f} (rel err {var_err:.2e})",
+            f"sample var {var:.3f} vs {params.sigma_v2:.3f} (rel err {var_err:.2e})",
             "within 5%",
         ),
     ]
 
 
 def _check_quadrature(level: str) -> list[CheckResult]:
+    """Criterion 10: the closed forms against numerical quadrature (same at both levels)."""
     from scipy.integrate import quad
 
     # rho ~ c/n^2 keeps the beamformed-scheme ABEP in a quadrature-friendly
     # range (the exponent scales with n^2 rho).
     grid = [(c / n**2, n) for n in (16, 32, 64, 128) for c in (8.0, 16.0, 32.0)]
+    m = 8
     worst = {"pb": 0.0, "pep": 0.0, "psk": 0.0}
     for rho, n in grid:
         params = analysis.GaussianApproxParams.from_elements(n)
@@ -627,14 +630,12 @@ def _check_quadrature(level: str) -> list[CheckResult]:
         got = analysis.pep_astbc(analysis.AbepQuery(rho=rho, n=n))
         worst["pep"] = max(worst["pep"], abs(got - ref) / ref)
 
-        m = 8
-
         def psk_integrand(x):
             s = sum(
                 analysis.q_exact(np.sqrt(2 * rho * analysis.psk_g(i, m) * x))
-                for i in range(1, max(m // 4, 1) + 1)
+                for i in range(1, m // 4 + 1)
             )
-            return 2.0 / max(np.log2(m), 2.0) * s * analysis.COMBINED_GAIN_PDF.pdf(x, n)
+            return 2.0 / math.log2(m) * s * analysis.COMBINED_GAIN_PDF.pdf(x, n)
 
         ref, _ = quad(psk_integrand, 0, np.inf, limit=400)
         got = analysis.psk_demod_abep(analysis.AbepQuery(rho=rho, n=n, m=m))
@@ -643,7 +644,7 @@ def _check_quadrature(level: str) -> list[CheckResult]:
         CheckResult(
             f"closed form vs quadrature ({name})",
             err <= 1e-3,
-            f"worst rel err {err:.2e} over {len(grid)}-point grid",
+            f"worst {name} rel err {err:.2e} over {len(grid)}-point (rho, N) grid",
             "<= 1e-3",
         )
         for name, err in worst.items()
@@ -651,12 +652,16 @@ def _check_quadrature(level: str) -> list[CheckResult]:
 
 
 def validate_suite(level: str = "fast") -> ValidationReport:
-    """Cross-module consistency checks; failures are report entries, not errors."""
+    """Acceptance criteria 6-10 as one report; failures are entries, not errors.
+
+    ``full`` reproduces the acceptance gate's draws exactly; ``fast`` runs a
+    prefix of the same streams with smaller counts.
+    """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     report = ValidationReport(level=level)
-    report.checks += _check_two_antenna(level)
     report.checks += _check_beamformer_vs_grid(level)
+    report.checks += _check_two_antenna(level)
     report.checks += _check_detectors(level)
     report.checks += _check_clt_moments(level)
     report.checks += _check_quadrature(level)

@@ -72,7 +72,7 @@ def detect_pb_ml(y: complex, ch: ChannelRealization, phi) -> int:
     Ties resolve to the lowest index.
     """
     gains = all_effective_gains(ch, phi)
-    return int(np.argmin(np.abs(y - gains) ** 2)) + 1
+    return int((np.abs(y - gains) ** 2).argmin()) + 1
 
 
 def transmit_detect_traditional_ssk(

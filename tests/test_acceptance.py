@@ -4,21 +4,20 @@ Each test prints one ``[criterion N] PASS/FAIL`` line (run pytest with -s
 to see them).  Monte Carlo grids are placed where the closed forms are in
 scope, with per-point trial counts chosen so binomial noise stays well
 inside the stated tolerances; deep-BER points get more than the 1e5-trial
-floor.
+floor.  Criteria 6-10 are the harness validation checks at level "full",
+the same code that ``ris-ssk validate --level full`` runs.
 """
 
 import math
 import time
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from ris_ssk import analysis, astbc_link, beamform
-from ris_ssk.channel import NoiseModel, sample_channel, substream
+from ris_ssk import analysis, harness
 from ris_ssk.harness import (
     BerRecord,
+    CheckResult,
     SimConfig,
     estimate_diversity_slope,
     run_ber_sweep,
@@ -211,168 +210,34 @@ def test_criterion_5_pb_dominates_intelligent_alignment():
     )
 
 
+def _report_checks(num: int, checks: list[CheckResult]) -> None:
+    """Report shared validation checks (run at level "full") as criterion ``num``."""
+    detail = "; ".join(f"{c.measured} (need {c.requirement})" for c in checks)
+    _report(num, all(c.passed for c in checks), detail)
+
+
 def test_criterion_6_sdr_beamformer_quality():
     t0 = time.perf_counter()
-    wins = 0
-    sdr_ds, lc_ds = [], []
-    for trial in range(100):
-        ch = sample_channel(4, 4, substream(606, trial, "oracle"))
-        d_grid = beamform.min_pairwise_distance(ch, beamform.brute_force_beamform(ch, 16))
-        d_sdr = beamform.min_pairwise_distance(
-            ch, beamform.sdr_beamform(ch, rng=substream(606, trial, "sdr"))
-        )
-        d_lc = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
-        wins += d_sdr >= 0.95 * d_grid
-        sdr_ds.append(d_sdr)
-        lc_ds.append(d_lc)
+    checks = harness._check_beamformer_vs_grid("full")
     elapsed = time.perf_counter() - t0
-    mean_ok = float(np.mean(sdr_ds)) >= float(np.mean(lc_ds))
-    ok = wins >= 90 and mean_ok and elapsed < 600
-    _report(
-        6,
-        ok,
-        f"{wins}/100 channels at >= 0.95x grid optimum (need >= 90); mean d_min "
-        f"{np.mean(sdr_ds):.3f} vs candidate-set {np.mean(lc_ds):.3f}; "
-        f"runtime {elapsed:.0f}s < 600s",
-    )
+    runtime = CheckResult("runtime", elapsed < 600, f"runtime {elapsed:.0f}s", "< 600s")
+    _report_checks(6, checks + [runtime])
 
 
 def test_criterion_7_two_antenna_optimality():
-    exact = 0
-    ge99 = 0
-    for trial in range(100):
-        ch = sample_channel(8, 2, substream(707, trial, "oracle"))
-        d_opt = beamform.min_pairwise_distance(ch, beamform.optimal_two_tx(ch))
-        d_lc = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
-        d_sdr = beamform.min_pairwise_distance(
-            ch, beamform.sdr_beamform(ch, rng=substream(707, trial, "sdr"))
-        )
-        exact += d_lc == d_opt
-        ge99 += d_sdr >= 0.99 * d_opt
-    ok = exact == 100 and ge99 == 100
-    _report(
-        7,
-        ok,
-        f"candidate-set d_min exactly equals closed form on {exact}/100; "
-        f"relaxation >= 0.99x closed form on {ge99}/100",
-    )
+    _report_checks(7, harness._check_two_antenna("full"))
 
 
 def test_criterion_8_detector_contracts():
-    inner_ok = 0
-    frames = 10**4
-    noise = NoiseModel.from_snr_db(3.0)
-    alphas = astbc_link.psk_phases(8)
-    for t in range(frames):
-        ch = sample_channel(8, 4, substream(808, t, "oracle"))
-        rng = substream(808, t, "data")
-        draw = rng.integers(0, [4, 8, 8])
-        frame = astbc_link.AstbcFrame(
-            int(draw[0]) + 1, float(alphas[draw[1]]), float(alphas[draw[2]]), (), ()
-        )
-        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise, rng)
-        _, i1, i2 = astbc_link.fast_antenna_metrics(y1, y2, ch, 8)
-        cost = astbc_link.optimal_costs(y1, y2, ch, 8)
-        match = True
-        for l0 in range(4):
-            j1, j2 = np.unravel_index(np.argmin(cost[l0]), (8, 8))
-            match = match and i1[l0] == j1 and i2[l0] == j2
-        inner_ok += match
-
-    agree = 0
-    frames_ag = 2 * 10**4
-    noise_hi = NoiseModel.from_rho(100.0 / 64.0)  # rho * N = 100
-    alphas2 = astbc_link.psk_phases(2)
-    for t in range(frames_ag):
-        ch = sample_channel(64, 2, substream(809, t, "oracle"))
-        rng = substream(809, t, "data")
-        draw = rng.integers(0, [2, 2, 2])
-        frame = astbc_link.AstbcFrame(
-            int(draw[0]) + 1, float(alphas2[draw[1]]), float(alphas2[draw[2]]), (), ()
-        )
-        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise_hi, rng)
-        agree += astbc_link.detect_astbc_fast(y1, y2, ch, 2) == astbc_link.detect_astbc_optimal(
-            y1, y2, ch, 2
-        )
-    rate = agree / frames_ag
-    ok = inner_ok == frames and rate >= 0.99
-    _report(
-        8,
-        ok,
-        f"inner PSK decisions identical on {inner_ok}/{frames} frames (need all); "
-        f"fast-vs-optimal agreement {rate:.4f} at rho*N=100 (need >= 0.99; "
-        "exact equivalence not asserted)",
-    )
+    _report_checks(8, harness._check_detectors("full"))
 
 
 def test_criterion_9_clt_moments():
-    n, draws = 128, 10**5
-    rng = substream(909, 0, "oracle")
-    v = np.empty(draws)
-    at, chunk = 0, 20_000
-    while at < draws:
-        b = min(chunk, draws - at)
-        z = rng.standard_normal((b, 4 * n))
-        f = (z[:, :n] + 1j * z[:, n : 2 * n]) / np.sqrt(2)
-        dg = z[:, 2 * n : 3 * n] + 1j * z[:, 3 * n :]
-        v[at : at + b] = (np.abs(f) * np.abs(dg)).sum(axis=1)
-        at += b
-    params = analysis.GaussianApproxParams.from_elements(n)
-    mean_err = abs(v.mean() - params.mu_v) / params.mu_v
-    var_err = abs(v.var(ddof=1) - params.sigma_v2) / params.sigma_v2
-    ok = mean_err < 0.01 and var_err < 0.05
-    _report(
-        9,
-        ok,
-        f"sample mean {v.mean():.2f} vs {params.mu_v:.2f} (rel {mean_err:.1e}, "
-        f"need < 1%); sample var {v.var(ddof=1):.2f} vs {params.sigma_v2:.2f} "
-        f"(rel {var_err:.1e}, need < 5%)",
-    )
+    _report_checks(9, harness._check_clt_moments("full"))
 
 
 def test_criterion_10_closed_forms_match_quadrature():
-    grid = [(c / n**2, n) for n in (16, 32, 64, 128) for c in (8.0, 16.0, 32.0)]
-    worst = 0.0
-    for rho, n in grid:
-        params = analysis.GaussianApproxParams.from_elements(n)
-        sig = math.sqrt(params.sigma_v2)
-
-        def pb_integrand(v):
-            w = np.exp(-((v - params.mu_v) ** 2) / (2 * params.sigma_v2))
-            return (
-                analysis.q_chiani(np.sqrt(rho / 2) * abs(v))
-                * w
-                / np.sqrt(2 * np.pi * params.sigma_v2)
-            )
-
-        ref, _ = quad(pb_integrand, params.mu_v - 12 * sig, params.mu_v + 12 * sig, limit=400)
-        got = analysis.abep_pb_two_tx(analysis.AbepQuery(rho=rho, n=n, nt=2))
-        worst = max(worst, abs(got - ref) / ref)
-
-        def pep_integrand(x):
-            return analysis.q_exact(np.sqrt(rho * x / 2)) * analysis.PAIR_DISTANCE_PDF.pdf(x, n)
-
-        ref, _ = quad(pep_integrand, 0, np.inf, limit=400)
-        got = analysis.pep_astbc(analysis.AbepQuery(rho=rho, n=n))
-        worst = max(worst, abs(got - ref) / ref)
-
-        def psk_integrand(x):
-            s = sum(
-                analysis.q_exact(np.sqrt(2 * rho * analysis.psk_g(i, 8) * x))
-                for i in range(1, 3)
-            )
-            return 2.0 / math.log2(8) * s * analysis.COMBINED_GAIN_PDF.pdf(x, n)
-
-        ref, _ = quad(psk_integrand, 0, np.inf, limit=400)
-        got = analysis.psk_demod_abep(analysis.AbepQuery(rho=rho, n=n, m=8))
-        worst = max(worst, abs(got - ref) / ref)
-    ok = worst <= 1e-3
-    _report(
-        10,
-        ok,
-        f"worst closed-form vs quadrature deviation {worst:.2e} over "
-        f"{len(grid)}-point (rho, N) grid x 3 expressions (need <= 1e-3)",
-    )
+    _report_checks(10, harness._check_quadrature("full"))
 
 
 def test_criterion_11_reproducibility_across_workers(tmp_path):

@@ -5,14 +5,12 @@ import pytest
 
 from ris_ssk.astbc_link import (
     AstbcFrame,
-    EquivalentChannel,
     code_matrix,
     combine,
     decode_ris_phases,
     detect_astbc_fast,
     detect_astbc_optimal,
     encode_ris_bits,
-    equivalent_channel,
     fast_antenna_metrics,
     make_frame,
     optimal_costs,
@@ -62,10 +60,10 @@ class TestRisBitMapping:
 class TestTransmit:
     def test_noiseless_zero_phases(self):
         ch = sample_channel(8, 2, substream(1, 0))
-        eq = equivalent_channel(ch, 1)
+        h1, h2 = sub_surface_channels(ch)
         y1, y2 = transmit_astbc(ch, _frame(1, 0, 0, 2), NoiseModel(0.0), substream(1, 1, "data"))
-        assert y1 == pytest.approx(eq.h1 + eq.h2)
-        assert y2 == pytest.approx(-eq.h1 + eq.h2)
+        assert y1 == pytest.approx(h1[0] + h2[0])
+        assert y2 == pytest.approx(-h1[0] + h2[0])
 
     def test_code_matrix_orthogonality_full_alphabet(self):
         for a1 in psk_phases(8):
@@ -75,20 +73,26 @@ class TestTransmit:
 
     def test_noiseless_energy_identity(self):
         ch = sample_channel(10, 2, substream(2, 0))
-        eq = equivalent_channel(ch, 2)
+        h1, h2 = sub_surface_channels(ch)
         y1, y2 = transmit_astbc(ch, _frame(2, 1, 3, 4), NoiseModel(0.0), substream(2, 1, "data"))
-        want = 2 * (abs(eq.h1) ** 2 + abs(eq.h2) ** 2)
+        want = 2 * (abs(h1[1]) ** 2 + abs(h2[1]) ** 2)
         assert abs(y1) ** 2 + abs(y2) ** 2 == pytest.approx(want)
 
     def test_matrix_form_matches_slot_equations(self):
         ch = sample_channel(6, 2, substream(3, 0))
-        eq = equivalent_channel(ch, 1)
+        h1, h2 = sub_surface_channels(ch)
         frame = _frame(1, 2, 5, 8)
         y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(3, 1, "data"))
         C = code_matrix(frame.alpha1, frame.alpha2)
-        want = C @ np.array([eq.h1, eq.h2])
+        want = C @ np.array([h1[0], h2[0]])
         assert y1 == pytest.approx(want[0])
         assert y2 == pytest.approx(want[1])
+
+    def test_antenna_index_range_checked(self):
+        ch = sample_channel(4, 2, substream(4, 0))
+        for l in (0, 3):
+            with pytest.raises(IndexError):
+                transmit_astbc(ch, _frame(l, 0, 0, 2), NoiseModel(0.0), substream(4, 1, "data"))
 
     def test_odd_element_count_rejected(self):
         ch = sample_channel(5, 2, substream(4, 0))
@@ -113,28 +117,28 @@ class TestTransmit:
 class TestCombine:
     def test_noiseless_recovers_phases_and_magnitude(self):
         ch = sample_channel(12, 2, substream(6, 0))
-        eq = equivalent_channel(ch, 1)
+        h1, h2 = sub_surface_channels(ch)
+        gain = abs(h1[0]) ** 2 + abs(h2[0]) ** 2
         frame = _frame(1, 3, 6, 8)
         y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(6, 1, "data"))
-        r1, r2 = combine(y1, y2, eq)
-        assert r1 == pytest.approx(eq.gain * np.exp(1j * frame.alpha1))
-        assert r2 == pytest.approx(eq.gain * np.exp(1j * frame.alpha2))
+        r1, r2 = combine(y1, y2, h1[0], h2[0])
+        assert r1 == pytest.approx(gain * np.exp(1j * frame.alpha1))
+        assert r2 == pytest.approx(gain * np.exp(1j * frame.alpha2))
 
     def test_energy_identity_on_random_inputs(self):
         rng = substream(7, 0, "oracle")
         for _ in range(50):
             h = rng.standard_normal(4)
-            eq = EquivalentChannel(h1=complex(h[0], h[1]), h2=complex(h[2], h[3]))
+            h1, h2 = complex(h[0], h[1]), complex(h[2], h[3])
             z = rng.standard_normal(4)
             y1, y2 = complex(z[0], z[1]), complex(z[2], z[3])
-            r1, r2 = combine(y1, y2, eq)
+            r1, r2 = combine(y1, y2, h1, h2)
             lhs = abs(r1) ** 2 + abs(r2) ** 2
-            rhs = eq.gain * (abs(y1) ** 2 + abs(y2) ** 2)
+            rhs = (abs(h1) ** 2 + abs(h2) ** 2) * (abs(y1) ** 2 + abs(y2) ** 2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_zero_channel_gives_zero(self):
-        eq = EquivalentChannel(h1=0j, h2=0j)
-        assert combine(1 + 2j, -3j, eq) == (0j, 0j)
+        assert combine(1 + 2j, -3j, 0j, 0j) == (0j, 0j)
 
 
 class TestOptimalDetector:
@@ -161,6 +165,7 @@ class TestOptimalDetector:
         noise = NoiseModel.from_snr_db(-3.0)
         bank = StreamBank(10, "data")
         alphas = psk_phases(2)
+        h1, h2 = sub_surface_channels(ch)
         for k in range(1000):
             g = bank.trial(k)
             l = int(g.integers(0, 2)) + 1
@@ -169,11 +174,10 @@ class TestOptimalDetector:
             # independent brute-force residual computation
             best, arg = np.inf, None
             for lh in range(1, 3):
-                eq = equivalent_channel(ch, lh)
                 for a1 in alphas:
                     for a2 in alphas:
                         C = code_matrix(float(a1), float(a2))
-                        res = np.array([y1, y2]) - C @ np.array([eq.h1, eq.h2])
+                        res = np.array([y1, y2]) - C @ np.array([h1[lh - 1], h2[lh - 1]])
                         cost = float(np.sum(np.abs(res) ** 2))
                         if cost < best:
                             best, arg = cost, (lh, float(a1), float(a2))
@@ -225,9 +229,9 @@ class TestFastDetector:
         ch = sample_channel(4, 2, substream(14, 0))
         ch.G[:, 1] = 0  # second antenna fully blocked
         y1, y2 = 1.0 + 0.5j, -0.25j
-        eq = equivalent_channel(ch, 2)
-        assert eq.gain == 0.0
-        r1, r2 = combine(y1, y2, eq)
+        h1, h2 = sub_surface_channels(ch)
+        assert abs(h1[1]) ** 2 + abs(h2[1]) ** 2 == 0.0
+        r1, r2 = combine(y1, y2, h1[1], h2[1])
         D, _, _ = fast_antenna_metrics(y1, y2, ch, 2)
         # combining through a dead antenna collapses to zero, so the
         # degenerate metric |r1|^2 + |r2|^2 is still well defined

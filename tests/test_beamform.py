@@ -6,7 +6,7 @@ import pytest
 from ris_ssk.beamform import (
     ReflectionVector,
     SdrOptions,
-    build_pair_matrix,
+    _pair_rows,
     brute_force_beamform,
     intelligent_ris_phases,
     low_complexity_beamform,
@@ -101,33 +101,30 @@ class TestOptimalTwoTx:
 
 
 class TestPairMatrix:
-    def test_hermitian_and_trace_identity(self):
-        ch = _channel(5, 3, 23)
-        R = build_pair_matrix(ch, 1, 3)
-        assert np.allclose(R, R.conj().T)
-        want = np.sum(np.abs(ch.f) ** 2 * np.abs(ch.G[:, 0] - ch.G[:, 2]) ** 2)
-        assert np.trace(R).real == pytest.approx(want)
+    """The solver's stacked pair rows a_p: |a_p . phi|^2 is the pair distance."""
 
-    def test_quadratic_form_matches_direct_evaluation(self):
-        ch = _channel(6, 4, 29)
-        R = build_pair_matrix(ch, 2, 4)
-        rng = substream(29, 1, "oracle")
+    @staticmethod
+    def _check_quadratic_form(ch, rng):
+        rows = _pair_rows(ch)
+        assert rows.shape == (6, 6)  # Nt(Nt-1)/2 pairs by N elements
         for _ in range(100):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-            direct = abs(np.sum(ch.f * (ch.G[:, 1] - ch.G[:, 3]) * phi)) ** 2
-            quad = (phi.conj() @ R @ phi).real
-            assert quad == pytest.approx(direct, rel=1e-12)
+            cascade = ch.f * phi
+            want = [
+                abs(ch.G[:, i] @ cascade - ch.G[:, j] @ cascade) ** 2
+                for i in range(4)
+                for j in range(i + 1, 4)
+            ]
+            assert np.abs(rows @ phi) ** 2 == pytest.approx(want, rel=1e-12)
+
+    def test_quadratic_form_matches_direct_evaluation(self):
+        self._check_quadratic_form(_channel(6, 4, 29), substream(29, 1, "oracle"))
 
     def test_zero_f_gives_zero_matrix(self):
-        ch = ChannelRealization(G=np.ones((3, 2), complex), f=np.zeros(3, complex))
-        assert np.all(build_pair_matrix(ch, 1, 2) == 0)
-
-    def test_index_errors(self):
-        ch = _channel(3, 2, 31)
-        with pytest.raises(ValueError):
-            build_pair_matrix(ch, 1, 1)
-        with pytest.raises(IndexError):
-            build_pair_matrix(ch, 1, 3)
+        ch = _channel(6, 4, 29)
+        dead = ChannelRealization(G=ch.G, f=np.zeros(6, complex))
+        self._check_quadratic_form(dead, substream(29, 1, "oracle"))
+        assert not _pair_rows(dead).any()
 
 
 class TestLowComplexity:

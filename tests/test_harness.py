@@ -3,11 +3,13 @@ import math
 
 import pytest
 
-from ris_ssk import analysis, cli
+from ris_ssk import analysis, cli, harness
 from ris_ssk.harness import (
     BerRecord,
+    CheckResult,
     ConfigError,
     SimConfig,
+    ValidationReport,
     analytic_sweep,
     binomial_confidence,
     estimate_diversity_slope,
@@ -308,3 +310,13 @@ class TestCli:
     def test_bad_scheme_exit_code(self):
         assert cli.main(["sweep", "--scheme", "pb", "--n", "8", "--nt", "4",
                          "--snr", "0", "--trials", "10", "--seed", "0"]) == 2
+
+    def test_validate_fast_passes(self, capsys):
+        assert cli.main(["validate", "--level", "fast"]) == 0
+        assert "ALL CHECKS PASSED" in capsys.readouterr().out
+
+    def test_validate_failure_exit_code(self, monkeypatch, capsys):
+        failing = ValidationReport("fast", [CheckResult("stub", False, "0/1", "1/1")])
+        monkeypatch.setattr(harness, "validate_suite", lambda level: failing)
+        assert cli.main(["validate", "--level", "fast"]) == 1
+        assert "CHECKS FAILED" in capsys.readouterr().out
