@@ -99,38 +99,76 @@ def code_matrix(alpha1: float, alpha2: float) -> np.ndarray:
     )
 
 
-def sub_surface_channels(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-surface sums h1, h2 for every antenna at once (each length Nt)."""
-    if ch.n % 2:
+def psk_symbols(m: int) -> np.ndarray:
+    """The phase factors e^{j alpha} of the M-ary alphabet, in index order."""
+    return np.exp(1j * psk_phases(m))
+
+
+# The broadcasting core.  Every function below works over any leading
+# (trial) axes: h1 and h2 are (..., Nt), received slots and phase factors
+# are (...).  The scalar API further down is its one-trial case, and the
+# sweep harness calls it on whole chunks of trials.
+
+
+def sub_surface_sums(G: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-surface sums h1, h2 (..., Nt) from G (..., N, Nt) and f (..., N)."""
+    n = f.shape[-1]
+    if n % 2:
         raise ValueError("element count must be even for two sub-surfaces")
-    half = ch.n // 2
-    h1 = ch.f[:half] @ ch.G[:half, :]
-    h2 = ch.f[half:] @ ch.G[half:, :]
+    half = n // 2
+    h1 = (f[..., None, :half] @ G[..., :half, :])[..., 0, :]
+    h2 = (f[..., None, half:] @ G[..., half:, :])[..., 0, :]
     return h1, h2
 
 
-def transmit_astbc(
-    ch: ChannelRealization,
-    frame: AstbcFrame,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[complex, complex]:
-    """Two received slots.
+def coded_slots(h1, h2, a1, a2):
+    """Noiseless received slots for phase factors a1 = e^{j alpha1}, a2.
 
     Slot 1 applies (alpha1, alpha2) to the sub-surfaces; slot 2 applies
     (pi - alpha2, -alpha1), which realizes the orthogonal code on the
     equivalent two-path channel.
     """
-    if not 1 <= frame.l <= ch.nt:
-        raise IndexError(f"antenna index {frame.l} out of range 1..{ch.nt}")
-    h1, h2 = sub_surface_channels(ch)
-    h1, h2 = h1[frame.l - 1], h2[frame.l - 1]
-    w1 = sample_awgn(noise, rng)
-    w2 = sample_awgn(noise, rng)
-    a1, a2 = np.exp(1j * frame.alpha1), np.exp(1j * frame.alpha2)
-    y1 = a1 * h1 + a2 * h2 + w1
-    y2 = -np.conj(a2) * h1 + np.conj(a1) * h2 + w2
-    return y1, y2
+    return a1 * h1 + a2 * h2, -np.conj(a2) * h1 + np.conj(a1) * h2
+
+
+def ml_costs(y1, y2, h1, h2, m: int) -> np.ndarray:
+    """Residual ||y - C h_l||^2 for every (l, k1, k2), shaped (..., Nt, M, M)."""
+    psk = psk_symbols(m)
+    a1 = psk[:, None]
+    a2 = psk[None, :]
+    g1 = h1[..., None, None]
+    g2 = h2[..., None, None]
+    s1 = np.asarray(y1)[..., None, None, None] - (a1 * g1 + a2 * g2)
+    s2 = np.asarray(y2)[..., None, None, None] - (-np.conj(a2) * g1 + np.conj(a1) * g2)
+    return np.abs(s1) ** 2 + np.abs(s2) ** 2
+
+
+def detect_ml(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based (l, k1, k2) minimizing the joint cost; ties go to the
+    lexicographically smallest hypothesis."""
+    cost = ml_costs(y1, y2, h1, h2, m)
+    flat = cost.reshape(*cost.shape[:-3], -1).argmin(axis=-1)
+    l0, k = np.divmod(flat, m * m)
+    k1, k2 = np.divmod(k, m)
+    return l0, k1, k2
+
+
+def fast_metrics(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Combining metric D and inner phase decisions k1, k2, each (..., Nt)."""
+    psk = psk_symbols(m)
+    r1, r2 = combine(np.asarray(y1)[..., None], np.asarray(y2)[..., None], h1, h2)
+    gain = (np.abs(h1) ** 2 + np.abs(h2) ** 2)[..., None]
+    d1 = np.abs(r1[..., None] - gain * psk) ** 2
+    d2 = np.abs(r2[..., None] - gain * psk) ** 2
+    return d1.min(axis=-1) + d2.min(axis=-1), d1.argmin(axis=-1), d2.argmin(axis=-1)
+
+
+def detect_fast(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based (l, k1, k2): argmin of the combining metric (lowest antenna on
+    ties), then the two inner phase decisions at that antenna."""
+    D, k1, k2 = fast_metrics(y1, y2, h1, h2, m)
+    l0 = D.argmin(axis=-1)[..., None]
+    return l0[..., 0], np.take_along_axis(k1, l0, -1)[..., 0], np.take_along_axis(k2, l0, -1)[..., 0]
 
 
 def combine(y1, y2, h1, h2):
@@ -141,6 +179,31 @@ def combine(y1, y2, h1, h2):
     return r1, r2
 
 
+# The one-trial API.
+
+
+def sub_surface_channels(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-surface sums h1, h2 for every antenna at once (each length Nt)."""
+    return sub_surface_sums(ch.G, ch.f)
+
+
+def transmit_astbc(
+    ch: ChannelRealization,
+    frame: AstbcFrame,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+) -> tuple[complex, complex]:
+    """Two received slots of one frame (see :func:`coded_slots`) plus AWGN."""
+    if not 1 <= frame.l <= ch.nt:
+        raise IndexError(f"antenna index {frame.l} out of range 1..{ch.nt}")
+    h1, h2 = sub_surface_channels(ch)
+    w1 = sample_awgn(noise, rng)
+    w2 = sample_awgn(noise, rng)
+    a1, a2 = np.exp(1j * frame.alpha1), np.exp(1j * frame.alpha2)
+    y1, y2 = coded_slots(h1[frame.l - 1], h2[frame.l - 1], a1, a2)
+    return y1 + w1, y2 + w2
+
+
 def optimal_costs(
     y1: complex, y2: complex, ch: ChannelRealization, m: int
 ) -> np.ndarray:
@@ -148,13 +211,7 @@ def optimal_costs(
 
     Shape (Nt, M, M), indexed by 0-based antenna and phase indices.
     """
-    h1, h2 = sub_surface_channels(ch)
-    psk = np.exp(1j * psk_phases(m))
-    a1 = psk[None, :, None]
-    a2 = psk[None, None, :]
-    s1 = y1 - (a1 * h1[:, None, None] + a2 * h2[:, None, None])
-    s2 = y2 - (-np.conj(a2) * h1[:, None, None] + np.conj(a1) * h2[:, None, None])
-    return np.abs(s1) ** 2 + np.abs(s2) ** 2
+    return ml_costs(y1, y2, *sub_surface_channels(ch), m)
 
 
 def detect_astbc_optimal(
@@ -164,9 +221,7 @@ def detect_astbc_optimal(
 
     Ties resolve to the lexicographically smallest (l, alpha1, alpha2).
     """
-    cost = optimal_costs(y1, y2, ch, m)
-    flat = int(np.argmin(cost))
-    l0, k1, k2 = np.unravel_index(flat, cost.shape)
+    l0, k1, k2 = detect_ml(y1, y2, *sub_surface_channels(ch), m)
     alphas = psk_phases(m)
     return int(l0) + 1, float(alphas[k1]), float(alphas[k2])
 
@@ -181,16 +236,7 @@ def fast_antenna_metrics(
     accumulates the two residuals.  A zero-gain antenna degenerates to
     D = |r1|^2 + |r2|^2.
     """
-    h1, h2 = sub_surface_channels(ch)
-    psk = np.exp(1j * psk_phases(m))
-    r1, r2 = combine(y1, y2, h1, h2)
-    gain = np.abs(h1) ** 2 + np.abs(h2) ** 2
-    d1 = np.abs(r1[:, None] - gain[:, None] * psk[None, :]) ** 2
-    d2 = np.abs(r2[:, None] - gain[:, None] * psk[None, :]) ** 2
-    k1 = d1.argmin(axis=1)
-    k2 = d2.argmin(axis=1)
-    ar = np.arange(ch.nt)
-    return d1[ar, k1] + d2[ar, k2], k1, k2
+    return fast_metrics(y1, y2, *sub_surface_channels(ch), m)
 
 
 def detect_astbc_fast(
@@ -198,7 +244,6 @@ def detect_astbc_fast(
 ) -> tuple[int, float, float]:
     """Low-complexity detector: argmin of the combining metric, then the
     two inner phase decisions at the chosen antenna."""
-    D, k1, k2 = fast_antenna_metrics(y1, y2, ch, m)
-    l0 = int(np.argmin(D))
+    l0, k1, k2 = detect_fast(y1, y2, *sub_surface_channels(ch), m)
     alphas = psk_phases(m)
-    return l0 + 1, float(alphas[k1[l0]]), float(alphas[k2[l0]])
+    return int(l0) + 1, float(alphas[k1]), float(alphas[k2])

@@ -110,7 +110,7 @@ class NoiseModel:
     n0: float
 
     def __post_init__(self):
-        if self.n0 < 0:
+        if not self.n0 >= 0:  # also rejects NaN
             raise ValueError("noise variance must be nonnegative")
 
     @property
@@ -156,6 +156,31 @@ class ChannelRealization:
         return self.G.shape[1]
 
 
+def channel_draw_size(n: int, nt: int, with_direct: bool = False) -> int:
+    """Real standard normals one channel realization consumes."""
+    return 2 * (n * nt + n + (nt if with_direct else 0))
+
+
+def split_channel_draws(
+    z: np.ndarray, n: int, nt: int, with_direct: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Turn real normals shaped (..., channel_draw_size) into G, f and d.
+
+    Consecutive (real, imaginary) draws are scaled, then viewed as complex
+    pairs: the same arithmetic numpy uses to divide a complex array by a
+    real scalar (multiply by its reciprocal), so bit-identical to it.  The
+    outputs keep the leading axes: G is (..., n, nt), f is (..., n) and d
+    is (..., nt), or None without direct links.
+    """
+    if z.shape[-1] != channel_draw_size(n, nt, with_direct):
+        raise ValueError("draw count does not match the channel dimensions")
+    zc = (z * _INV_SQRT2).view(np.complex128)
+    G = zc[..., : n * nt].reshape(*zc.shape[:-1], n, nt)
+    f = zc[..., n * nt : n * nt + n]
+    d = zc[..., n * nt + n :] if with_direct else None
+    return G, f, d
+
+
 def sample_channel(
     n: int,
     nt: int,
@@ -170,14 +195,8 @@ def sample_channel(
     """
     if n < 1 or nt < 1:
         raise ValueError("channel dimensions must be at least 1")
-    size = n * nt + n + (nt if with_direct else 0)
-    # Consecutive (real, imaginary) draws scaled, then viewed as complex
-    # pairs: the same arithmetic numpy uses to divide a complex array by a
-    # real scalar (multiply by its reciprocal), so bit-identical to it.
-    zc = (rng.standard_normal(2 * size) * _INV_SQRT2).view(np.complex128)
-    G = zc[: n * nt].reshape(n, nt)
-    f = zc[n * nt : n * nt + n]
-    d = zc[n * nt + n :] if with_direct else None
+    z = rng.standard_normal(channel_draw_size(n, nt, with_direct))
+    G, f, d = split_channel_draws(z, n, nt, with_direct)
     return ChannelRealization(G=G, f=f, d=d)
 
 

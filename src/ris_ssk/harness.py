@@ -18,7 +18,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis, astbc_link, beamform, pb_link
-from .channel import SEED_LIMIT, NoiseModel, StreamBank, sample_channel, substream
+from .channel import (
+    SEED_LIMIT,
+    NoiseModel,
+    StreamBank,
+    channel_draw_size,
+    sample_channel,
+    split_channel_draws,
+    substream,
+)
 
 SCHEMES = (
     "pb",
@@ -107,6 +115,8 @@ class SimConfig:
             _check_psk_order(self.m)
         if not self.snr_db_grid:
             raise ConfigError("SNR grid must be nonempty")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_db_grid):
+            raise ConfigError("SNR points must be numbers above -inf dB (+inf is noiseless)")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
         if self.trials < 1:
@@ -145,75 +155,108 @@ def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
     return b_src, b_ris
 
 
+# Element budget of one chunk of trials: a chunk holds as many trials as
+# fit this many elements in its largest per-trial array (at least one), so
+# memory stays bounded whatever the trial count or Nt * M^2.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _coded_trial_elements(cfg: SimConfig) -> int:
+    """Elements of the largest per-trial array the coded kernel builds."""
+    nt, m = cfg.nt, cfg.m
+    metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
+    return max(channel_draw_size(cfg.n, nt), metric)
+
+
+def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
+    """Coded trials [start, start + count) in chunks; yields (sent, detected),
+    each a (chunk, 3) array of 0-based (antenna, phase 1, phase 2) indices.
+
+    Per trial, only the draws run in Python, on the same streams and in the
+    same order as the one-trial API (channel normals; the antenna and phase
+    indices; the two noise samples when n0 > 0).  Transmission and
+    detection then run once over the whole chunk.
+    """
+    n, nt, m = cfg.n, cfg.nt, cfg.m
+    ch_bank = StreamBank(cfg.seed, "channel")
+    data_bank = StreamBank(cfg.seed, "data")
+    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // _coded_trial_elements(cfg)))
+    z = np.empty((chunk, channel_draw_size(n, nt)))
+    sent = np.empty((chunk, 3), dtype=np.int64)
+    w = np.empty((chunk, 4))
+    noisy = noise.n0 > 0
+    scale = math.sqrt(noise.n0 / 2.0)
+    hi = np.array([nt, m, m])
+    psk = astbc_link.psk_symbols(m)
+    for at in range(start, start + count, chunk):
+        b = min(chunk, start + count - at)
+        for t in range(b):
+            ch_bank.trial(at + t).standard_normal(out=z[t])
+            rng = data_bank.trial(at + t)
+            sent[t] = rng.integers(0, hi)
+            if noisy:
+                rng.standard_normal(out=w[t])
+        G, f, _ = split_channel_draws(z[:b], n, nt)
+        h1, h2 = astbc_link.sub_surface_sums(G, f)
+        l0, k1, k2 = sent[:b].T
+        rows = np.arange(b)
+        y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
+        if noisy:
+            wc = (w[:b] * scale).view(np.complex128)
+            y1, y2 = y1 + wc[:, 0], y2 + wc[:, 1]
+        yield sent[:b], np.stack(detect(y1, y2, h1, h2, m), axis=-1)
+
+
 def _count_trials(
     cfg: SimConfig, snr_db: float, start: int, count: int
 ) -> tuple[int, int]:
     """Run trials [start, start + count) at one SNR point; return error counts."""
     noise = NoiseModel.from_snr_db(snr_db)
-    ch_bank = StreamBank(cfg.seed, "channel")
-    data_bank = StreamBank(cfg.seed, "data")
-    sdr_bank = StreamBank(cfg.seed, "sdr") if cfg.scheme == "pb-sdr" else None
     scheme = cfg.scheme
-    n, nt, m = cfg.n, cfg.nt, cfg.m
-    with_direct = scheme == "traditional-ssk"
-    src_err = 0
-    ris_err = 0
-
     if scheme in _ASTBC_SCHEMES:
-        alphas = astbc_link.psk_phases(m)
-        src_labels = [pb_link.decode_ssk(l, nt) for l in range(1, nt + 1)]
-        bps = int(math.log2(m))
-        ris_labels = [tuple((k >> (bps - 1 - i)) & 1 for i in range(bps)) for k in range(m)]
-        detect = (
-            astbc_link.detect_astbc_fast
-            if scheme == "astbc-fast"
-            else astbc_link.detect_astbc_optimal
-        )
-        hi = np.array([nt, m, m])
-        for k in range(start, start + count):
-            ch = sample_channel(n, nt, ch_bank.trial(k))
-            rng = data_bank.trial(k)
-            draw = rng.integers(0, hi)
-            l = int(draw[0]) + 1
-            k1 = int(draw[1])
-            k2 = int(draw[2])
-            frame = astbc_link.AstbcFrame(
-                l=l,
-                alpha1=float(alphas[k1]),
-                alpha2=float(alphas[k2]),
-                bits_src=src_labels[l - 1],
-                bits_ris=ris_labels[k1] + ris_labels[k2],
-            )
-            y1, y2 = astbc_link.transmit_astbc(ch, frame, noise, rng)
-            lhat, a1hat, a2hat = detect(y1, y2, ch, m)
-            src_err += pb_link.index_bit_errors(l, lhat)
-            k1hat = astbc_link.phase_index(a1hat, m)
-            k2hat = astbc_link.phase_index(a2hat, m)
-            ris_err += bin(k1 ^ k1hat).count("1") + bin(k2 ^ k2hat).count("1")
+        src_err = ris_err = 0
+        for sent, detected in _coded_chunks(cfg, noise, start, count):
+            src_err += pb_link.label_bit_errors(sent[:, 0], detected[:, 0])
+            ris_err += pb_link.label_bit_errors(sent[:, 1:], detected[:, 1:])
         return src_err, ris_err
 
+    ch_bank = StreamBank(cfg.seed, "channel")
+    data_bank = StreamBank(cfg.seed, "data")
+    sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
+    n, nt = cfg.n, cfg.nt
+    with_direct = scheme == "traditional-ssk"
     symbols = [pb_link.SskSymbol(l=l, bits=pb_link.decode_ssk(l, nt)) for l in range(1, nt + 1)]
-    for k in range(start, start + count):
-        ch = sample_channel(n, nt, ch_bank.trial(k), with_direct=with_direct)
-        rng = data_bank.trial(k)
-        l = int(rng.integers(0, nt)) + 1
-        sym = symbols[l - 1]
-        if scheme == "traditional-ssk":
-            lhat = pb_link.transmit_detect_traditional_ssk(ch, sym, noise, rng)
-        else:
-            if scheme == "pb":
-                phi = beamform.optimal_two_tx(ch)
-            elif scheme == "pb-lowcomplexity":
-                phi = beamform.low_complexity_beamform(ch)
-            elif scheme == "pb-sdr":
-                phi = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(k))
-            else:  # intelligent-ris-ssk: realign to the active antenna each time
-                phi = beamform.intelligent_ris_phases(ch, l)
-            coeff = phi.phi  # materialize once; transmit and detect share it
-            y = pb_link.transmit_pb(ch, coeff, sym, noise, rng)
-            lhat = pb_link.detect_pb_ml(y, ch, coeff)
-        src_err += pb_link.index_bit_errors(l, lhat)
-    return src_err, ris_err
+    block = max(1, min(count, _CHUNK_ELEMENTS))  # one element per trial in each index array
+    sent = np.empty(block, dtype=np.int64)
+    detected = np.empty(block, dtype=np.int64)
+    src_err = 0
+    for at in range(start, start + count, block):
+        b = min(block, start + count - at)
+        for t in range(b):
+            k = at + t
+            ch = sample_channel(n, nt, ch_bank.trial(k), with_direct=with_direct)
+            rng = data_bank.trial(k)
+            l = int(rng.integers(0, nt)) + 1
+            sym = symbols[l - 1]
+            if scheme == "traditional-ssk":
+                lhat = pb_link.transmit_detect_traditional_ssk(ch, sym, noise, rng)
+            else:
+                if scheme == "pb":
+                    phi = beamform.optimal_two_tx(ch)
+                elif scheme == "pb-lowcomplexity":
+                    phi = beamform.low_complexity_beamform(ch)
+                elif scheme == "pb-sdr":
+                    phi = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(k))
+                else:  # intelligent-ris-ssk: realign to the active antenna each time
+                    phi = beamform.intelligent_ris_phases(ch, l)
+                coeff = phi.phi  # materialize once; transmit and detect share it
+                y = pb_link.transmit_pb(ch, coeff, sym, noise, rng)
+                lhat = pb_link.detect_pb_ml(y, ch, coeff)
+            sent[t] = l - 1
+            detected[t] = lhat - 1
+        src_err += pb_link.label_bit_errors(sent[:b], detected[:b])
+    return src_err, 0
 
 
 def _count_trials_star(args):

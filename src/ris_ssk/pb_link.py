@@ -50,9 +50,18 @@ def decode_ssk(l: int, nt: int) -> tuple[int, ...]:
     return tuple((l - 1) >> (b - 1 - i) & 1 for i in range(b))
 
 
+def label_bit_errors(sent, detected) -> int:
+    """Total Hamming distance between the natural binary labels of 0-based
+    indices (scalars or equal-shape integer arrays): one popcount of their
+    XOR."""
+    diff = np.ascontiguousarray(np.bitwise_xor(sent, detected), dtype=np.uint64)
+    return int(np.unpackbits(diff.view(np.uint8)).sum())
+
+
 def index_bit_errors(l: int, lhat: int) -> int:
-    """Hamming distance between the natural binary labels of two indices."""
-    return bin((l - 1) ^ (lhat - 1)).count("1")
+    """Hamming distance between the natural binary labels of two 1-based
+    antenna indices."""
+    return label_bit_errors(l - 1, lhat - 1)
 
 
 def transmit_pb(

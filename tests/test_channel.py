@@ -6,9 +6,11 @@ from ris_ssk.channel import (
     NoiseModel,
     StreamBank,
     all_effective_gains,
+    channel_draw_size,
     effective_gain,
     sample_awgn,
     sample_channel,
+    split_channel_draws,
     substream,
 )
 
@@ -97,6 +99,21 @@ class TestSampleChannel:
         assert abs(np.mean(np.abs(ch.G) ** 2) - 1.0) < 0.02
         assert abs(np.mean(ch.G)) < 0.02
 
+    def test_split_draws_over_leading_axes_match_sample_channel(self):
+        bank = StreamBank(14, "channel")
+        for with_direct in (False, True):
+            z = np.stack([bank.trial(k).standard_normal(channel_draw_size(6, 4, with_direct)) for k in range(5)])
+            G, f, d = split_channel_draws(z, 6, 4, with_direct)
+            assert G.shape == (5, 6, 4) and f.shape == (5, 6)
+            for k in range(5):
+                ch = sample_channel(6, 4, bank.trial(k), with_direct=with_direct)
+                assert np.array_equal(G[k], ch.G) and np.array_equal(f[k], ch.f)
+                assert (d is None) == (ch.d is None)
+                if with_direct:
+                    assert np.array_equal(d[k], ch.d)
+        with pytest.raises(ValueError):
+            split_channel_draws(np.zeros((2, 10)), 6, 4)
+
     def test_shape_invariants_enforced(self):
         with pytest.raises(ValueError):
             ChannelRealization(G=np.zeros((3, 2), complex), f=np.zeros(4, complex))
@@ -132,6 +149,10 @@ class TestNoise:
         assert NoiseModel(n0=0.0).rho == np.inf
         with pytest.raises(ValueError):
             NoiseModel(n0=-1.0)
+        with pytest.raises(ValueError):
+            NoiseModel(n0=float("nan"))
+        with pytest.raises(ValueError):
+            NoiseModel.from_snr_db(float("nan"))
         with pytest.raises(ValueError):
             NoiseModel.from_rho(0.0)
 

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from ris_ssk import analysis, cli, harness
+from ris_ssk import analysis, astbc_link, cli, harness
+from ris_ssk.channel import NoiseModel, StreamBank, sample_channel
 from ris_ssk.harness import (
     BerRecord,
     CheckResult,
@@ -55,6 +57,9 @@ class TestConfigValidation:
             dict(seed=2**64 + 5),
             dict(workers=0),
             dict(target_errors=0),
+            dict(snr_db_grid=(math.nan,)),
+            dict(snr_db_grid=(-math.inf,)),
+            dict(snr_db_grid=(-10.0, math.nan)),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -139,6 +144,92 @@ class TestSweep:
     def test_wall_time_recorded_when_enabled(self):
         (r,) = run_ber_sweep(_cfg(snr_db_grid=(-10.0,), trials=500, record_wall_time=True))
         assert r.wall_time_s is not None and r.wall_time_s > 0
+
+
+def _scalar_decisions(cfg, snr_db, start, count):
+    """Per-trial (sent, detected) 0-based indices from the one-trial API."""
+    ch_bank, data_bank = StreamBank(cfg.seed, "channel"), StreamBank(cfg.seed, "data")
+    noise = NoiseModel.from_snr_db(snr_db)
+    alphas = astbc_link.psk_phases(cfg.m)
+    detect = (
+        astbc_link.detect_astbc_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_astbc_optimal
+    )
+    out = []
+    for k in range(start, start + count):
+        ch = sample_channel(cfg.n, cfg.nt, ch_bank.trial(k))
+        rng = data_bank.trial(k)
+        l0, k1, k2 = (int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
+        frame = astbc_link.AstbcFrame(l0 + 1, float(alphas[k1]), float(alphas[k2]), (), ())
+        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise, rng)
+        lhat, a1, a2 = detect(y1, y2, ch, cfg.m)
+        detected = (lhat - 1, astbc_link.phase_index(a1, cfg.m), astbc_link.phase_index(a2, cfg.m))
+        out.append(((l0, k1, k2), detected))
+    return out
+
+
+def _kernel_decisions(cfg, snr_db, start, count):
+    noise = NoiseModel.from_snr_db(snr_db)
+    return [
+        (tuple(int(v) for v in s), tuple(int(v) for v in d))
+        for sent, detected in harness._coded_chunks(cfg, noise, start, count)
+        for s, d in zip(sent, detected)
+    ]
+
+
+class TestCodedKernel:
+    @pytest.mark.parametrize("scheme", ["astbc-optimal", "astbc-fast"])
+    @pytest.mark.parametrize("nt, m", [(2, 2), (4, 4), (2, 8), (8, 2)])
+    @pytest.mark.parametrize("snr_db", [-2.0, math.inf])
+    def test_decisions_equal_one_trial_api(self, scheme, nt, m, snr_db):
+        cfg = _cfg(scheme=scheme, n=8, nt=nt, m=m, seed=61)
+        want = _scalar_decisions(cfg, snr_db, 1000, 300)
+        assert _kernel_decisions(cfg, snr_db, 1000, 300) == want
+        if snr_db == math.inf:
+            assert all(s == d for s, d in want)
+        else:
+            assert any(s != d for s, d in want)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(scheme="astbc-optimal", nt=4, m=4), dict(scheme="astbc-fast", nt=4, m=4), dict(scheme="pb", nt=2)],
+    )
+    def test_counts_do_not_depend_on_chunk_size(self, kw, monkeypatch):
+        cfg = _cfg(n=16, seed=62, **kw)
+        coded = cfg.m is not None
+        per_trial = harness._coded_trial_elements(cfg) if coded else 1  # pb: one index per trial
+        counts = []
+        for trials in (1, 7, harness._CHUNK_ELEMENTS // per_trial):
+            monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", trials * per_trial)
+            if coded:
+                noise = NoiseModel.from_snr_db(-4.0)
+                sizes = [len(s) for s, _ in harness._coded_chunks(cfg, noise, 5, 300)]
+                assert sizes[:-1] == [min(trials, 300)] * (len(sizes) - 1) and sum(sizes) == 300
+            counts.append(harness._count_trials(cfg, -4.0, 5, 300))
+        assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize(
+        "kw, want",
+        [
+            (dict(scheme="astbc-optimal", n=16, nt=4, m=4, snr_db_grid=(-6.0, -2.0), seed=31),
+             [(979, 1804), (495, 812)]),
+            (dict(scheme="astbc-fast", n=16, nt=4, m=8, snr_db_grid=(-4.0, 0.0), seed=32),
+             [(1303, 3748), (745, 2168)]),
+        ],
+    )
+    def test_golden_error_counts(self, kw, want):
+        # Recorded from the per-trial loop that preceded the chunked kernel.
+        records = run_ber_sweep(_cfg(trials=2000, **kw))
+        assert [(r.source_errors, r.ris_errors) for r in records] == want
+
+    def test_chunk_budget_bounds_memory(self):
+        cfg = _cfg(scheme="astbc-optimal", n=64, nt=8, m=32, snr_db_grid=(0.0,), trials=2000)
+        tracemalloc.start()
+        try:
+            run_ber_sweep(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAnalyticSweep:
@@ -310,6 +401,12 @@ class TestCli:
     def test_bad_scheme_exit_code(self):
         assert cli.main(["sweep", "--scheme", "pb", "--n", "8", "--nt", "4",
                          "--snr", "0", "--trials", "10", "--seed", "0"]) == 2
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_non_numeric_snr_exit_code(self, snr, capsys):
+        assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
+                         f"--snr={snr}", "--trials", "10", "--seed", "0"]) == 2
+        assert "SNR points" in capsys.readouterr().err
 
     def test_validate_fast_passes(self, capsys):
         assert cli.main(["validate", "--level", "fast"]) == 0

@@ -20,6 +20,7 @@ from ris_ssk.pb_link import (
     detect_pb_ml,
     encode_ssk,
     index_bit_errors,
+    label_bit_errors,
     transmit_detect_traditional_ssk,
     transmit_pb,
 )
@@ -55,6 +56,12 @@ class TestSskMapping:
         assert index_bit_errors(1, 1) == 0
         assert index_bit_errors(1, 4) == 2  # 00 vs 11
         assert index_bit_errors(2, 4) == 1  # 01 vs 11
+
+    def test_label_bit_errors_sums_over_arrays(self):
+        sent = np.array([[0, 3, 5], [7, 0, 1]])
+        detected = np.array([[0, 0, 6], [0, 7, 1]])
+        assert label_bit_errors(sent, detected) == 0 + 2 + 2 + 3 + 3 + 0
+        assert label_bit_errors(2**40, 0) == 1
 
 
 class TestTransmitPb:
