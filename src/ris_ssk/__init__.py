@@ -14,11 +14,10 @@ from .analysis import (
     q_exact,
 )
 from .astbc_link import (
-    AstbcFrame,
     combine,
-    detect_astbc_fast,
-    detect_astbc_optimal,
-    encode_ris_bits,
+    detect_fast,
+    detect_ml,
+    sub_surface_sums,
     transmit_astbc,
 )
 from .beamform import (
@@ -49,6 +48,6 @@ from .harness import (
     write_csv,
     write_json,
 )
-from .pb_link import SskSymbol, detect_pb_ml, encode_ssk, transmit_pb
+from .pb_link import detect_pb_ml, label_bit_errors, transmit_pb
 
 __version__ = "0.1.0"

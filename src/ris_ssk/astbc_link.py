@@ -11,25 +11,11 @@ disagree (measured, not assumed, by the validation suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelRealization, NoiseModel, sample_awgn
-from .pb_link import encode_ssk
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class AstbcFrame:
-    """One two-slot transmission: antenna index plus two PSK phases."""
-
-    l: int
-    alpha1: float
-    alpha2: float
-    bits_src: tuple[int, ...]
-    bits_ris: tuple[int, ...]
 
 
 def psk_phases(m: int) -> np.ndarray:
@@ -37,56 +23,6 @@ def psk_phases(m: int) -> np.ndarray:
     if m < 2 or m & (m - 1):
         raise ValueError("PSK order must be a power of two >= 2")
     return _TWO_PI * np.arange(m) / m
-
-
-def phase_index(alpha: float, m: int) -> int:
-    """Index k of a phase from the M-ary alphabet (alpha = 2 pi k / M)."""
-    return int(round(alpha * m / _TWO_PI)) % m
-
-
-def encode_ris_bits(bits, m: int) -> tuple[float, float]:
-    """Split the surface bits in half and map each half to a PSK phase.
-
-    The first log2(M) bits choose sub-surface #1's phase, the rest choose
-    sub-surface #2's, each by natural binary value (MSB first).
-    """
-    bits = tuple(int(b) for b in bits)
-    bps = int(np.log2(m))
-    if 2**bps != m:
-        raise ValueError("PSK order must be a power of two")
-    if len(bits) != 2 * bps:
-        raise ValueError(f"expected {2 * bps} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    k1 = k2 = 0
-    for b in bits[:bps]:
-        k1 = (k1 << 1) | b
-    for b in bits[bps:]:
-        k2 = (k2 << 1) | b
-    return _TWO_PI * k1 / m, _TWO_PI * k2 / m
-
-
-def decode_ris_phases(alpha1: float, alpha2: float, m: int) -> tuple[int, ...]:
-    """Bit label (MSB first) of a detected phase pair."""
-    bps = int(np.log2(m))
-    k1, k2 = phase_index(alpha1, m), phase_index(alpha2, m)
-    out = []
-    for k in (k1, k2):
-        out.extend((k >> (bps - 1 - i)) & 1 for i in range(bps))
-    return tuple(out)
-
-
-def make_frame(src_bits, ris_bits, m: int) -> AstbcFrame:
-    """Assemble a frame from source bits (antenna) and surface bits (phases)."""
-    sym = encode_ssk(src_bits)
-    alpha1, alpha2 = encode_ris_bits(ris_bits, m)
-    return AstbcFrame(
-        l=sym.l,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        bits_src=sym.bits,
-        bits_ris=tuple(int(b) for b in ris_bits),
-    )
 
 
 def code_matrix(alpha1: float, alpha2: float) -> np.ndarray:
@@ -106,8 +42,9 @@ def psk_symbols(m: int) -> np.ndarray:
 
 # The broadcasting core.  Every function below works over any leading
 # (trial) axes: h1 and h2 are (..., Nt), received slots and phase factors
-# are (...).  The scalar API further down is its one-trial case, and the
-# sweep harness calls it on whole chunks of trials.
+# are (...).  A single trial is its no-leading-axes case, and the sweep
+# harness calls it on whole chunks of trials.  Antenna and phase indices
+# are 0-based throughout.
 
 
 def sub_surface_sums(G: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +91,12 @@ def detect_ml(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def fast_metrics(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combining metric D and inner phase decisions k1, k2, each (..., Nt)."""
+    """Combining metric D and inner phase decisions k1, k2, each (..., Nt).
+
+    Per antenna, combines the two slots and searches each PSK alphabet
+    separately (2M metric evaluations instead of M^2).  A zero-gain antenna
+    degenerates to D = |r1|^2 + |r2|^2.
+    """
     psk = psk_symbols(m)
     r1, r2 = combine(np.asarray(y1)[..., None], np.asarray(y2)[..., None], h1, h2)
     gain = (np.abs(h1) ** 2 + np.abs(h2) ** 2)[..., None]
@@ -179,71 +121,25 @@ def combine(y1, y2, h1, h2):
     return r1, r2
 
 
-# The one-trial API.
-
-
-def sub_surface_channels(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-surface sums h1, h2 for every antenna at once (each length Nt)."""
-    return sub_surface_sums(ch.G, ch.f)
-
-
 def transmit_astbc(
     ch: ChannelRealization,
-    frame: AstbcFrame,
+    l: int,
+    k1: int,
+    k2: int,
+    m: int,
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> tuple[complex, complex]:
-    """Two received slots of one frame (see :func:`coded_slots`) plus AWGN."""
-    if not 1 <= frame.l <= ch.nt:
-        raise IndexError(f"antenna index {frame.l} out of range 1..{ch.nt}")
-    h1, h2 = sub_surface_channels(ch)
+    """Two received slots (see :func:`coded_slots`) plus AWGN for one trial:
+    antenna ``l`` active, sub-surface phases ``k1``, ``k2`` of the M-ary
+    alphabet."""
+    if not 0 <= l < ch.nt:
+        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
+    if not (0 <= k1 < m and 0 <= k2 < m):
+        raise IndexError(f"phase indices ({k1}, {k2}) out of range 0..{m - 1}")
+    h1, h2 = sub_surface_sums(ch.G, ch.f)
     w1 = sample_awgn(noise, rng)
     w2 = sample_awgn(noise, rng)
-    a1, a2 = np.exp(1j * frame.alpha1), np.exp(1j * frame.alpha2)
-    y1, y2 = coded_slots(h1[frame.l - 1], h2[frame.l - 1], a1, a2)
+    psk = psk_symbols(m)
+    y1, y2 = coded_slots(h1[l], h2[l], psk[k1], psk[k2])
     return y1 + w1, y2 + w2
-
-
-def optimal_costs(
-    y1: complex, y2: complex, ch: ChannelRealization, m: int
-) -> np.ndarray:
-    """Residual ||y - C h_l||^2 for every (l, k1, k2) hypothesis.
-
-    Shape (Nt, M, M), indexed by 0-based antenna and phase indices.
-    """
-    return ml_costs(y1, y2, *sub_surface_channels(ch), m)
-
-
-def detect_astbc_optimal(
-    y1: complex, y2: complex, ch: ChannelRealization, m: int
-) -> tuple[int, float, float]:
-    """Exhaustive joint ML over all Nt * M^2 hypotheses.
-
-    Ties resolve to the lexicographically smallest (l, alpha1, alpha2).
-    """
-    l0, k1, k2 = detect_ml(y1, y2, *sub_surface_channels(ch), m)
-    alphas = psk_phases(m)
-    return int(l0) + 1, float(alphas[k1]), float(alphas[k2])
-
-
-def fast_antenna_metrics(
-    y1: complex, y2: complex, ch: ChannelRealization, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combining-based per-antenna metric D and the inner phase decisions.
-
-    For each antenna, combines the two slots, searches each PSK alphabet
-    separately (2M metric evaluations per antenna instead of M^2), and
-    accumulates the two residuals.  A zero-gain antenna degenerates to
-    D = |r1|^2 + |r2|^2.
-    """
-    return fast_metrics(y1, y2, *sub_surface_channels(ch), m)
-
-
-def detect_astbc_fast(
-    y1: complex, y2: complex, ch: ChannelRealization, m: int
-) -> tuple[int, float, float]:
-    """Low-complexity detector: argmin of the combining metric, then the
-    two inner phase decisions at the chosen antenna."""
-    l0, k1, k2 = detect_fast(y1, y2, *sub_surface_channels(ch), m)
-    alphas = psk_phases(m)
-    return int(l0) + 1, float(alphas[k1]), float(alphas[k2])

@@ -123,12 +123,12 @@ def optimal_two_tx(ch: ChannelRealization) -> ReflectionVector:
 def intelligent_ris_phases(ch: ChannelRealization, l: int) -> ReflectionVector:
     """Phases aligning every element to the cascade of the active antenna.
 
-    Maximizes the instantaneous receive SNR for the known index ``l``; the
-    resulting cascade is real and equals sum_i |f_i| |g_il|.
+    Maximizes the instantaneous receive SNR for the known 0-based index
+    ``l``; the resulting cascade is real and equals sum_i |f_i| |g_il|.
     """
-    if not 1 <= l <= ch.nt:
-        raise IndexError(f"antenna index {l} out of range 1..{ch.nt}")
-    theta = -np.angle(ch.f) - np.angle(ch.G[:, l - 1])
+    if not 0 <= l < ch.nt:
+        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
+    theta = -np.angle(ch.f) - np.angle(ch.G[:, l])
     return ReflectionVector(theta=theta)
 
 

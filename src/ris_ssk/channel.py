@@ -210,7 +210,7 @@ def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:
 
 
 def effective_gain(ch: ChannelRealization, phi, l: int) -> complex:
-    """Cascaded scalar channel seen from antenna ``l`` (1-based).
+    """Cascaded scalar channel seen from antenna ``l`` (0-based).
 
     Computes sum_i f_i * g_il * phi_i for unit-modulus reflection
     coefficients ``phi`` (a complex array or any object exposing ``.phi``).
@@ -218,9 +218,9 @@ def effective_gain(ch: ChannelRealization, phi, l: int) -> complex:
     coeff = np.asarray(getattr(phi, "phi", phi))
     if coeff.shape != (ch.n,):
         raise ValueError("reflection vector length must match the element count")
-    if not 1 <= l <= ch.nt:
-        raise IndexError(f"antenna index {l} out of range 1..{ch.nt}")
-    return complex((ch.f * coeff * ch.G[:, l - 1]).sum())
+    if not 0 <= l < ch.nt:
+        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
+    return complex((ch.f * coeff * ch.G[:, l]).sum())
 
 
 def all_effective_gains(ch: ChannelRealization, phi) -> np.ndarray:

@@ -46,39 +46,43 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise harness.ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in _SETTINGS:
+                raise harness.ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            out[key] = value
     return out
 
 
 _INT_KEYS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
+_SETTINGS = ("scheme", "snr", "out", "rounding_count") + _INT_KEYS
+_REQUIRED = ("scheme", "n", "nt", "snr", "trials", "seed")
 
 
 def _build_sim_config(args) -> harness.SimConfig:
     raw: dict = {}
     if args.config:
         raw.update(load_config_file(args.config))
-    for key in ("scheme", "n", "nt", "m", "snr", "trials", "seed", "workers",
-                "target_errors", "out", "rounding_count"):
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    try:
-        scheme = str(raw["scheme"])
-        grid = raw["snr"]
-        if isinstance(grid, str):
-            grid = _parse_snr_grid(grid)
-        sdr = None
-        if scheme == "pb-sdr":
-            sdr = beamform.SdrOptions(rounding_count=int(raw.get("rounding_count", 100)))
-        cfg = harness.SimConfig(
-            scheme=scheme,
-            snr_db_grid=grid,
-            sdr=sdr,
-            output_path=raw.get("out"),
-            **{k: int(raw[k]) for k in _INT_KEYS if k in raw},
-        )
-    except KeyError as exc:
-        raise harness.ConfigError(f"missing required setting: {exc.args[0]}") from exc
+    for key in _REQUIRED:
+        if key not in raw:
+            raise harness.ConfigError(f"missing required setting: {key}")
+    scheme = str(raw["scheme"])
+    grid = raw["snr"]
+    if isinstance(grid, str):
+        grid = _parse_snr_grid(grid)
+    sdr = None
+    if scheme == "pb-sdr":
+        sdr = beamform.SdrOptions(rounding_count=int(raw.get("rounding_count", 100)))
+    cfg = harness.SimConfig(
+        scheme=scheme,
+        snr_db_grid=grid,
+        sdr=sdr,
+        output_path=raw.get("out"),
+        **{k: int(raw[k]) for k in _INT_KEYS if k in raw},
+    )
     cfg.validate()
     return cfg
 

@@ -68,9 +68,21 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
-def _check_psk_order(m: int | None) -> None:
-    if m is None or m < 2 or m & (m - 1):
-        raise ConfigError("astbc schemes need a power-of-two PSK order m")
+def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
+    """The scheme and dimension rules that sweeps and theory curves share."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    if nt < 2 or nt & (nt - 1):
+        raise ConfigError("nt must be a power of two >= 2")
+    if scheme == "pb" and nt != 2:
+        raise ConfigError("scheme 'pb' uses the two-antenna closed form; use pb-sdr or pb-lowcomplexity for nt > 2")
+    if scheme in _ASTBC_SCHEMES:
+        if n % 2:
+            raise ConfigError("two-sub-surface coding needs an even element count")
+        if m is None or m < 2 or m & (m - 1):
+            raise ConfigError("astbc schemes need a power-of-two PSK order m")
 
 
 @dataclass
@@ -101,18 +113,7 @@ class SimConfig:
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.nt < 2 or self.nt & (self.nt - 1):
-            raise ConfigError("nt must be a power of two >= 2")
-        if self.scheme == "pb" and self.nt != 2:
-            raise ConfigError("scheme 'pb' uses the two-antenna closed form; use pb-sdr or pb-lowcomplexity for nt > 2")
-        if self.scheme in _ASTBC_SCHEMES:
-            if self.n % 2:
-                raise ConfigError("two-sub-surface coding needs an even element count")
-            _check_psk_order(self.m)
+        _check_dimensions(self.scheme, self.n, self.nt, self.m)
         if not self.snr_db_grid:
             raise ConfigError("SNR grid must be nonempty")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_db_grid):
@@ -226,7 +227,6 @@ def _count_trials(
     sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
     n, nt = cfg.n, cfg.nt
     with_direct = scheme == "traditional-ssk"
-    symbols = [pb_link.SskSymbol(l=l, bits=pb_link.decode_ssk(l, nt)) for l in range(1, nt + 1)]
     block = max(1, min(count, _CHUNK_ELEMENTS))  # one element per trial in each index array
     sent = np.empty(block, dtype=np.int64)
     detected = np.empty(block, dtype=np.int64)
@@ -237,10 +237,9 @@ def _count_trials(
             k = at + t
             ch = sample_channel(n, nt, ch_bank.trial(k), with_direct=with_direct)
             rng = data_bank.trial(k)
-            l = int(rng.integers(0, nt)) + 1
-            sym = symbols[l - 1]
+            l = int(rng.integers(0, nt))
             if scheme == "traditional-ssk":
-                lhat = pb_link.transmit_detect_traditional_ssk(ch, sym, noise, rng)
+                lhat = pb_link.transmit_detect_traditional_ssk(ch, l, noise, rng)
             else:
                 if scheme == "pb":
                     phi = beamform.optimal_two_tx(ch)
@@ -251,10 +250,10 @@ def _count_trials(
                 else:  # intelligent-ris-ssk: realign to the active antenna each time
                     phi = beamform.intelligent_ris_phases(ch, l)
                 coeff = phi.phi  # materialize once; transmit and detect share it
-                y = pb_link.transmit_pb(ch, coeff, sym, noise, rng)
+                y = pb_link.transmit_pb(ch, coeff, l, noise, rng)
                 lhat = pb_link.detect_pb_ml(y, ch, coeff)
-            sent[t] = l - 1
-            detected[t] = lhat - 1
+            sent[t] = l
+            detected[t] = lhat
         src_err += pb_link.label_bit_errors(sent[:b], detected[:b])
     return src_err, 0
 
@@ -361,8 +360,7 @@ def analytic_sweep(
 
     ``ber_source`` mirrors the closed form and is None where there is none.
     """
-    if scheme in _ASTBC_SCHEMES:
-        _check_psk_order(m)
+    _check_dimensions(scheme, n, nt, m)
     records = []
     for snr_db in snr_db_grid:
         a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
@@ -448,10 +446,12 @@ def read_csv(path) -> list[BerRecord]:
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise ValueError(f"unrecognized CSV header in {path}")
     out = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], 2):
         if not ln:
             continue
         cells = ln.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
         kw = {}
         for name, cell in zip(CSV_COLUMNS, cells):
             if cell == "":
@@ -568,32 +568,27 @@ def _check_two_antenna(level: str) -> list[CheckResult]:
 
 
 def _coded_frames(seed: int, count: int, n: int, nt: int, m: int, noise: NoiseModel):
-    """Yield (ch, y1, y2) for ``count`` random coded frames keyed by ``seed``."""
-    alphas = astbc_link.psk_phases(m)
+    """Yield (y1, y2, h1, h2) for ``count`` random coded frames keyed by ``seed``."""
     for t in range(count):
         ch = sample_channel(n, nt, substream(seed, t, "oracle"))
         rng = substream(seed, t, "data")
-        draw = rng.integers(0, [nt, m, m])
-        frame = astbc_link.AstbcFrame(
-            int(draw[0]) + 1, float(alphas[draw[1]]), float(alphas[draw[2]]), (), ()
-        )
-        yield ch, *astbc_link.transmit_astbc(ch, frame, noise, rng)
+        l, k1, k2 = rng.integers(0, [nt, m, m])
+        y1, y2 = astbc_link.transmit_astbc(ch, l, k1, k2, m, noise, rng)
+        yield y1, y2, *astbc_link.sub_surface_sums(ch.G, ch.f)
 
 
 def _check_detectors(level: str) -> list[CheckResult]:
     """Criterion 8: the fast detector's inner decisions and its agreement with ML."""
     frames_inner = 10_000 if level == "full" else 2_000
     inner_match = 0
-    for ch, y1, y2 in _coded_frames(808, frames_inner, 8, 4, 8, NoiseModel.from_snr_db(3.0)):
-        _, i1, i2 = astbc_link.fast_antenna_metrics(y1, y2, ch, 8)
-        cost = astbc_link.optimal_costs(y1, y2, ch, 8)
-        j1, j2 = np.divmod(cost.reshape(4, -1).argmin(axis=1), 8)
+    for frame in _coded_frames(808, frames_inner, 8, 4, 8, NoiseModel.from_snr_db(3.0)):
+        _, i1, i2 = astbc_link.fast_metrics(*frame, 8)
+        j1, j2 = np.divmod(astbc_link.ml_costs(*frame, 8).reshape(4, -1).argmin(axis=1), 8)
         inner_match += np.array_equal(i1, j1) and np.array_equal(i2, j2)
     frames_ag = 20_000 if level == "full" else 2_000
     agree = 0
-    for ch, y1, y2 in _coded_frames(809, frames_ag, 64, 2, 2, NoiseModel.from_rho(100.0 / 64.0)):
-        fast = astbc_link.detect_astbc_fast(y1, y2, ch, 2)
-        agree += fast == astbc_link.detect_astbc_optimal(y1, y2, ch, 2)
+    for frame in _coded_frames(809, frames_ag, 64, 2, 2, NoiseModel.from_rho(100.0 / 64.0)):
+        agree += astbc_link.detect_fast(*frame, 2) == astbc_link.detect_ml(*frame, 2)
     rate = agree / frames_ag
     return [
         CheckResult(

@@ -1,67 +1,62 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from ris_ssk.astbc_link import (
-    AstbcFrame,
     code_matrix,
     combine,
-    decode_ris_phases,
-    detect_astbc_fast,
-    detect_astbc_optimal,
-    encode_ris_bits,
-    fast_antenna_metrics,
-    make_frame,
-    optimal_costs,
-    phase_index,
+    detect_fast,
+    detect_ml,
+    fast_metrics,
+    ml_costs,
     psk_phases,
-    sub_surface_channels,
+    sub_surface_sums,
     transmit_astbc,
 )
 from ris_ssk.channel import NoiseModel, StreamBank, sample_channel, substream
+from ris_ssk.harness import _bits_per_trial
 
 
-def _frame(l, k1, k2, m):
-    alphas = psk_phases(m)
-    return AstbcFrame(l, float(alphas[k1]), float(alphas[k2]), (), ())
+def _sums(ch):
+    return sub_surface_sums(ch.G, ch.f)
+
+
+def _detect(detector, y1, y2, ch, m):
+    """Plain-int (l, k1, k2) decision of one trial."""
+    return tuple(int(v) for v in detector(y1, y2, *_sums(ch), m))
 
 
 class TestRisBitMapping:
     def test_bpsk_example(self):
-        assert encode_ris_bits([0, 1], 2) == (0.0, np.pi)
-
-    def test_qpsk_example_msb_first(self):
-        a1, a2 = encode_ris_bits([1, 0, 0, 1], 4)
-        assert a1 == pytest.approx(np.pi)
-        assert a2 == pytest.approx(np.pi / 2)
+        # phase index 0 is phase 0 and index 1 is pi
+        ch = sample_channel(8, 2, substream(15, 0))
+        h1, h2 = _sums(ch)
+        y1, y2 = transmit_astbc(ch, 0, 0, 1, 2, NoiseModel(0.0), substream(15, 1, "data"))
+        want = code_matrix(0.0, np.pi) @ np.array([h1[0], h2[0]])
+        assert (y1, y2) == pytest.approx(tuple(want))
 
     def test_round_trip_exhaustive(self):
+        # every phase index pair survives a noiseless pass through the link
         for m in (2, 4, 8):
-            bps = int(np.log2(m))
-            for bits in itertools.product((0, 1), repeat=2 * bps):
-                a1, a2 = encode_ris_bits(bits, m)
-                assert decode_ris_phases(a1, a2, m) == bits
+            ch = sample_channel(8, 2, substream(16, m))
+            for k1 in range(m):
+                for k2 in range(m):
+                    y1, y2 = transmit_astbc(ch, 1, k1, k2, m, NoiseModel(0.0), substream(16, 1, "data"))
+                    assert _detect(detect_ml, y1, y2, ch, m) == (1, k1, k2)
 
     def test_length_and_value_errors(self):
-        with pytest.raises(ValueError):
-            encode_ris_bits([0, 1, 0], 4)
-        with pytest.raises(ValueError):
-            encode_ris_bits([0, 2], 2)
+        ch = sample_channel(4, 2, substream(17, 0))
+        for k1, k2 in ((4, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                transmit_astbc(ch, 0, k1, k2, 4, NoiseModel(0.0), substream(17, 1, "data"))
         with pytest.raises(ValueError):
             psk_phases(3)
-
-    def test_phase_index_inverts_alphabet(self):
-        for m in (2, 4, 8):
-            for k, alpha in enumerate(psk_phases(m)):
-                assert phase_index(float(alpha), m) == k
 
 
 class TestTransmit:
     def test_noiseless_zero_phases(self):
         ch = sample_channel(8, 2, substream(1, 0))
-        h1, h2 = sub_surface_channels(ch)
-        y1, y2 = transmit_astbc(ch, _frame(1, 0, 0, 2), NoiseModel(0.0), substream(1, 1, "data"))
+        h1, h2 = _sums(ch)
+        y1, y2 = transmit_astbc(ch, 0, 0, 0, 2, NoiseModel(0.0), substream(1, 1, "data"))
         assert y1 == pytest.approx(h1[0] + h2[0])
         assert y2 == pytest.approx(-h1[0] + h2[0])
 
@@ -73,57 +68,50 @@ class TestTransmit:
 
     def test_noiseless_energy_identity(self):
         ch = sample_channel(10, 2, substream(2, 0))
-        h1, h2 = sub_surface_channels(ch)
-        y1, y2 = transmit_astbc(ch, _frame(2, 1, 3, 4), NoiseModel(0.0), substream(2, 1, "data"))
+        h1, h2 = _sums(ch)
+        y1, y2 = transmit_astbc(ch, 1, 1, 3, 4, NoiseModel(0.0), substream(2, 1, "data"))
         want = 2 * (abs(h1[1]) ** 2 + abs(h2[1]) ** 2)
         assert abs(y1) ** 2 + abs(y2) ** 2 == pytest.approx(want)
 
     def test_matrix_form_matches_slot_equations(self):
         ch = sample_channel(6, 2, substream(3, 0))
-        h1, h2 = sub_surface_channels(ch)
-        frame = _frame(1, 2, 5, 8)
-        y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(3, 1, "data"))
-        C = code_matrix(frame.alpha1, frame.alpha2)
+        h1, h2 = _sums(ch)
+        y1, y2 = transmit_astbc(ch, 0, 2, 5, 8, NoiseModel(0.0), substream(3, 1, "data"))
+        alphas = psk_phases(8)
+        C = code_matrix(float(alphas[2]), float(alphas[5]))
         want = C @ np.array([h1[0], h2[0]])
         assert y1 == pytest.approx(want[0])
         assert y2 == pytest.approx(want[1])
 
     def test_antenna_index_range_checked(self):
         ch = sample_channel(4, 2, substream(4, 0))
-        for l in (0, 3):
+        for l in (-1, 2):
             with pytest.raises(IndexError):
-                transmit_astbc(ch, _frame(l, 0, 0, 2), NoiseModel(0.0), substream(4, 1, "data"))
+                transmit_astbc(ch, l, 0, 0, 2, NoiseModel(0.0), substream(4, 1, "data"))
 
     def test_odd_element_count_rejected(self):
         ch = sample_channel(5, 2, substream(4, 0))
         with pytest.raises(ValueError):
-            transmit_astbc(ch, _frame(1, 0, 0, 2), NoiseModel(0.0), substream(4, 1, "data"))
+            transmit_astbc(ch, 0, 0, 0, 2, NoiseModel(0.0), substream(4, 1, "data"))
 
     def test_sub_surface_split(self):
         ch = sample_channel(8, 3, substream(5, 0))
-        h1, h2 = sub_surface_channels(ch)
+        h1, h2 = _sums(ch)
         for l in range(3):
             assert h1[l] == pytest.approx(np.sum(ch.f[:4] * ch.G[:4, l]))
             assert h2[l] == pytest.approx(np.sum(ch.f[4:] * ch.G[4:, l]))
-
-    def test_make_frame_carries_bits(self):
-        frame = make_frame([1], [0, 1], 2)
-        assert frame.l == 2
-        assert frame.bits_src == (1,)
-        assert frame.bits_ris == (0, 1)
-        assert frame.alpha2 == pytest.approx(np.pi)
 
 
 class TestCombine:
     def test_noiseless_recovers_phases_and_magnitude(self):
         ch = sample_channel(12, 2, substream(6, 0))
-        h1, h2 = sub_surface_channels(ch)
+        h1, h2 = _sums(ch)
         gain = abs(h1[0]) ** 2 + abs(h2[0]) ** 2
-        frame = _frame(1, 3, 6, 8)
-        y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(6, 1, "data"))
+        y1, y2 = transmit_astbc(ch, 0, 3, 6, 8, NoiseModel(0.0), substream(6, 1, "data"))
         r1, r2 = combine(y1, y2, h1[0], h2[0])
-        assert r1 == pytest.approx(gain * np.exp(1j * frame.alpha1))
-        assert r2 == pytest.approx(gain * np.exp(1j * frame.alpha2))
+        alphas = psk_phases(8)
+        assert r1 == pytest.approx(gain * np.exp(1j * alphas[3]))
+        assert r2 == pytest.approx(gain * np.exp(1j * alphas[6]))
 
     def test_energy_identity_on_random_inputs(self):
         rng = substream(7, 0, "oracle")
@@ -144,19 +132,16 @@ class TestCombine:
 class TestOptimalDetector:
     def test_noiseless_exact_recovery_all_hypotheses(self):
         ch = sample_channel(8, 4, substream(8, 0))
-        for l in range(1, 5):
+        for l in range(4):
             for k1 in range(4):
                 for k2 in range(4):
-                    frame = _frame(l, k1, k2, 4)
-                    y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(8, 1, "data"))
-                    got = detect_astbc_optimal(y1, y2, ch, 4)
-                    assert got == (l, frame.alpha1, frame.alpha2)
+                    y1, y2 = transmit_astbc(ch, l, k1, k2, 4, NoiseModel(0.0), substream(8, 1, "data"))
+                    assert _detect(detect_ml, y1, y2, ch, 4) == (l, k1, k2)
 
     def test_true_hypothesis_cost_zero_noiseless(self):
         ch = sample_channel(8, 2, substream(9, 0))
-        frame = _frame(2, 1, 0, 2)
-        y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(9, 1, "data"))
-        cost = optimal_costs(y1, y2, ch, 2)
+        y1, y2 = transmit_astbc(ch, 1, 1, 0, 2, NoiseModel(0.0), substream(9, 1, "data"))
+        cost = ml_costs(y1, y2, *_sums(ch), 2)
         assert cost[1, 1, 0] == pytest.approx(0.0, abs=1e-20)
         assert cost.min() == pytest.approx(cost[1, 1, 0], abs=1e-20)
 
@@ -165,46 +150,44 @@ class TestOptimalDetector:
         noise = NoiseModel.from_snr_db(-3.0)
         bank = StreamBank(10, "data")
         alphas = psk_phases(2)
-        h1, h2 = sub_surface_channels(ch)
+        h1, h2 = _sums(ch)
         for k in range(1000):
             g = bank.trial(k)
-            l = int(g.integers(0, 2)) + 1
+            l = int(g.integers(0, 2))
             k1, k2 = int(g.integers(0, 2)), int(g.integers(0, 2))
-            y1, y2 = transmit_astbc(ch, _frame(l, k1, k2, 2), noise, g)
+            y1, y2 = transmit_astbc(ch, l, k1, k2, 2, noise, g)
             # independent brute-force residual computation
             best, arg = np.inf, None
-            for lh in range(1, 3):
-                for a1 in alphas:
-                    for a2 in alphas:
+            for lh in range(2):
+                for i1, a1 in enumerate(alphas):
+                    for i2, a2 in enumerate(alphas):
                         C = code_matrix(float(a1), float(a2))
-                        res = np.array([y1, y2]) - C @ np.array([h1[lh - 1], h2[lh - 1]])
+                        res = np.array([y1, y2]) - C @ np.array([h1[lh], h2[lh]])
                         cost = float(np.sum(np.abs(res) ** 2))
                         if cost < best:
-                            best, arg = cost, (lh, float(a1), float(a2))
-            assert detect_astbc_optimal(y1, y2, ch, 2) == arg
+                            best, arg = cost, (lh, i1, i2)
+            assert _detect(detect_ml, y1, y2, ch, 2) == arg
 
 
 class TestFastDetector:
     def test_noiseless_exact_recovery(self):
         ch = sample_channel(16, 4, substream(11, 0))
-        for l in range(1, 5):
-            frame = _frame(l, 3, 5, 8)
-            y1, y2 = transmit_astbc(ch, frame, NoiseModel(0.0), substream(11, 1, "data"))
-            got = detect_astbc_fast(y1, y2, ch, 8)
-            assert got == (l, frame.alpha1, frame.alpha2)
-            D, _, _ = fast_antenna_metrics(y1, y2, ch, 8)
-            assert D[l - 1] == pytest.approx(0.0, abs=1e-18)
+        for l in range(4):
+            y1, y2 = transmit_astbc(ch, l, 3, 5, 8, NoiseModel(0.0), substream(11, 1, "data"))
+            assert _detect(detect_fast, y1, y2, ch, 8) == (l, 3, 5)
+            D, _, _ = fast_metrics(y1, y2, *_sums(ch), 8)
+            assert D[l] == pytest.approx(0.0, abs=1e-18)
 
     def test_inner_decisions_match_exhaustive_search(self):
         noise = NoiseModel.from_snr_db(3.0)
         for trial in range(300):
             ch = sample_channel(8, 4, substream(12, trial))
             g = substream(12, trial, "data")
-            l = int(g.integers(0, 4)) + 1
+            l = int(g.integers(0, 4))
             k1, k2 = int(g.integers(0, 8)), int(g.integers(0, 8))
-            y1, y2 = transmit_astbc(ch, _frame(l, k1, k2, 8), noise, g)
-            _, i1, i2 = fast_antenna_metrics(y1, y2, ch, 8)
-            cost = optimal_costs(y1, y2, ch, 8)
+            y1, y2 = transmit_astbc(ch, l, k1, k2, 8, noise, g)
+            _, i1, i2 = fast_metrics(y1, y2, *_sums(ch), 8)
+            cost = ml_costs(y1, y2, *_sums(ch), 8)
             for l0 in range(4):
                 j1, j2 = np.unravel_index(np.argmin(cost[l0]), (8, 8))
                 assert (i1[l0], i2[l0]) == (j1, j2)
@@ -215,11 +198,11 @@ class TestFastDetector:
         for trial in range(100):
             ch = sample_channel(8, 4, substream(13, trial))
             g = substream(13, trial, "data")
-            l = int(g.integers(0, 4)) + 1
-            y1, y2 = transmit_astbc(ch, _frame(l, 1, 2, 4), noise, g)
-            D, _, _ = fast_antenna_metrics(y1, y2, ch, 4)
-            cost = optimal_costs(y1, y2, ch, 4)
-            h1, h2 = sub_surface_channels(ch)
+            l = int(g.integers(0, 4))
+            y1, y2 = transmit_astbc(ch, l, 1, 2, 4, noise, g)
+            h1, h2 = _sums(ch)
+            D, _, _ = fast_metrics(y1, y2, h1, h2, 4)
+            cost = ml_costs(y1, y2, h1, h2, 4)
             gains = np.abs(h1) ** 2 + np.abs(h2) ** 2
             for l0 in range(4):
                 want = gains[l0] * cost[l0].min()
@@ -229,22 +212,19 @@ class TestFastDetector:
         ch = sample_channel(4, 2, substream(14, 0))
         ch.G[:, 1] = 0  # second antenna fully blocked
         y1, y2 = 1.0 + 0.5j, -0.25j
-        h1, h2 = sub_surface_channels(ch)
+        h1, h2 = _sums(ch)
         assert abs(h1[1]) ** 2 + abs(h2[1]) ** 2 == 0.0
         r1, r2 = combine(y1, y2, h1[1], h2[1])
-        D, _, _ = fast_antenna_metrics(y1, y2, ch, 2)
+        D, _, _ = fast_metrics(y1, y2, h1, h2, 2)
         # combining through a dead antenna collapses to zero, so the
         # degenerate metric |r1|^2 + |r2|^2 is still well defined
         assert D[1] == pytest.approx(abs(r1) ** 2 + abs(r2) ** 2)
-        lhat, a1, a2 = detect_astbc_fast(y1, y2, ch, 2)
-        assert lhat in (1, 2) and a1 in (0.0, np.pi) and a2 in (0.0, np.pi)
+        lhat, k1, k2 = _detect(detect_fast, y1, y2, ch, 2)
+        assert lhat in (0, 1) and k1 in (0, 1) and k2 in (0, 1)
 
     def test_spectral_efficiency_bookkeeping(self):
         # bits per two-slot frame: log2(nt) source + 2 log2(m) surface
         for nt, m in ((2, 2), (4, 8)):
-            frame = make_frame(
-                [0] * int(np.log2(nt)), [0] * (2 * int(np.log2(m))), m
-            )
-            bits = len(frame.bits_src) + len(frame.bits_ris)
-            assert bits == np.log2(nt) + 2 * np.log2(m)
-            assert bits / 2 == np.log2(m) + np.log2(nt) / 2  # per channel use
+            b_src, b_ris = _bits_per_trial("astbc-fast", nt, m)
+            assert b_src + b_ris == np.log2(nt) + 2 * np.log2(m)
+            assert (b_src + b_ris) / 2 == np.log2(m) + np.log2(nt) / 2  # per channel use

@@ -39,7 +39,7 @@ class TestMinPairwiseDistance:
         for a in range(3):
             for b in range(a + 1, 3):
                 dists.append(
-                    abs(effective_gain(ch, phi, a + 1) - effective_gain(ch, phi, b + 1)) ** 2
+                    abs(effective_gain(ch, phi, a) - effective_gain(ch, phi, b)) ** 2
                 )
         assert len(dists) == 3
         assert min_pairwise_distance(ch, phi) == pytest.approx(min(dists))
@@ -190,25 +190,25 @@ class TestBruteForce:
 class TestIntelligentPhases:
     def test_sign_flip_single_element(self):
         ch = ChannelRealization(G=np.array([[-1.0 + 0j]]), f=np.array([1.0 + 0j]))
-        rv = intelligent_ris_phases(ch, 1)
+        rv = intelligent_ris_phases(ch, 0)
         assert rv.theta[0] == pytest.approx(np.pi)
-        assert effective_gain(ch, rv, 1) == pytest.approx(1.0)
+        assert effective_gain(ch, rv, 0) == pytest.approx(1.0)
 
     def test_gain_equals_modulus_sum(self):
         ch = _channel(16, 2, 59)
-        for l in (1, 2):
+        for l in (0, 1):
             rv = intelligent_ris_phases(ch, l)
-            want = np.sum(np.abs(ch.f) * np.abs(ch.G[:, l - 1]))
+            want = np.sum(np.abs(ch.f) * np.abs(ch.G[:, l]))
             assert effective_gain(ch, rv, l) == pytest.approx(want, rel=1e-12)
 
     def test_dominates_random_phases(self):
         ch = _channel(8, 2, 61)
-        rv = intelligent_ris_phases(ch, 2)
-        best = abs(effective_gain(ch, rv, 2)) ** 2
+        rv = intelligent_ris_phases(ch, 1)
+        best = abs(effective_gain(ch, rv, 1)) ** 2
         rng = substream(61, 1, "oracle")
         for _ in range(1000):
             psi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-            assert best >= abs(effective_gain(ch, psi, 2)) ** 2
+            assert best >= abs(effective_gain(ch, psi, 1)) ** 2
 
 
 # d_min reported by sdr_beamform at default options on (n, nt, seed, trial)

@@ -160,12 +160,12 @@ class TestNoise:
 class TestEffectiveGain:
     def test_identity_reflection_sums_column(self):
         ch = sample_channel(6, 2, substream(9, 0))
-        got = effective_gain(ch, np.ones(6, complex), 1)
+        got = effective_gain(ch, np.ones(6, complex), 0)
         assert got == pytest.approx(np.sum(ch.f * ch.G[:, 0]))
 
     def test_phase_cancellation(self):
         ch = ChannelRealization(G=np.array([[1j]]), f=np.array([1.0 + 0j]))
-        got = effective_gain(ch, np.exp(1j * np.array([-np.pi / 2])), 1)
+        got = effective_gain(ch, np.exp(1j * np.array([-np.pi / 2])), 0)
         assert got == pytest.approx(1.0)
 
     def test_matches_direct_summation_oracle(self):
@@ -173,8 +173,8 @@ class TestEffectiveGain:
         ch = sample_channel(8, 3, rng)
         theta = rng.uniform(0, 2 * np.pi, 8)
         phi = np.exp(1j * theta)
-        for l in (1, 2, 3):
-            oracle = sum(ch.f[i] * ch.G[i, l - 1] * np.exp(1j * theta[i]) for i in range(8))
+        for l in (0, 1, 2):
+            oracle = sum(ch.f[i] * ch.G[i, l] * np.exp(1j * theta[i]) for i in range(8))
             got = effective_gain(ch, phi, l)
             assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
@@ -185,27 +185,28 @@ class TestEffectiveGain:
         phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         # superposition on f with shared G
         mixed = ChannelRealization(G=ch1.G, f=ch1.f + 2.0 * ch2.f)
-        want = effective_gain(ch1, phi, 1) + 2.0 * effective_gain(
-            ChannelRealization(G=ch1.G, f=ch2.f), phi, 1
+        want = effective_gain(ch1, phi, 0) + 2.0 * effective_gain(
+            ChannelRealization(G=ch1.G, f=ch2.f), phi, 0
         )
-        assert effective_gain(mixed, phi, 1) == pytest.approx(want)
+        assert effective_gain(mixed, phi, 0) == pytest.approx(want)
         # superposition on the active column with shared f
         mixed_g = ChannelRealization(G=ch1.G + 3.0 * ch2.G, f=ch1.f)
-        want_g = effective_gain(ch1, phi, 2) + 3.0 * effective_gain(
-            ChannelRealization(G=ch2.G, f=ch1.f), phi, 2
+        want_g = effective_gain(ch1, phi, 1) + 3.0 * effective_gain(
+            ChannelRealization(G=ch2.G, f=ch1.f), phi, 1
         )
-        assert effective_gain(mixed_g, phi, 2) == pytest.approx(want_g)
+        assert effective_gain(mixed_g, phi, 1) == pytest.approx(want_g)
 
     def test_index_and_shape_errors(self):
         ch = sample_channel(4, 2, substream(0, 1))
-        with pytest.raises(IndexError):
-            effective_gain(ch, np.ones(4, complex), 3)
+        for l in (-1, 2):
+            with pytest.raises(IndexError):
+                effective_gain(ch, np.ones(4, complex), l)
         with pytest.raises(ValueError):
-            effective_gain(ch, np.ones(5, complex), 1)
+            effective_gain(ch, np.ones(5, complex), 0)
 
     def test_all_gains_consistent(self):
         ch = sample_channel(5, 4, substream(13, 0))
         phi = np.exp(1j * substream(13, 1).uniform(0, 2 * np.pi, 5))
         gains = all_effective_gains(ch, phi)
-        for l in range(1, 5):
-            assert gains[l - 1] == pytest.approx(effective_gain(ch, phi, l))
+        for l in range(4):
+            assert gains[l] == pytest.approx(effective_gain(ch, phi, l))

@@ -150,20 +150,15 @@ def _scalar_decisions(cfg, snr_db, start, count):
     """Per-trial (sent, detected) 0-based indices from the one-trial API."""
     ch_bank, data_bank = StreamBank(cfg.seed, "channel"), StreamBank(cfg.seed, "data")
     noise = NoiseModel.from_snr_db(snr_db)
-    alphas = astbc_link.psk_phases(cfg.m)
-    detect = (
-        astbc_link.detect_astbc_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_astbc_optimal
-    )
+    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
     out = []
     for k in range(start, start + count):
         ch = sample_channel(cfg.n, cfg.nt, ch_bank.trial(k))
         rng = data_bank.trial(k)
-        l0, k1, k2 = (int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
-        frame = astbc_link.AstbcFrame(l0 + 1, float(alphas[k1]), float(alphas[k2]), (), ())
-        y1, y2 = astbc_link.transmit_astbc(ch, frame, noise, rng)
-        lhat, a1, a2 = detect(y1, y2, ch, cfg.m)
-        detected = (lhat - 1, astbc_link.phase_index(a1, cfg.m), astbc_link.phase_index(a2, cfg.m))
-        out.append(((l0, k1, k2), detected))
+        sent = tuple(int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
+        y1, y2 = astbc_link.transmit_astbc(ch, *sent, cfg.m, noise, rng)
+        h1, h2 = astbc_link.sub_surface_sums(ch.G, ch.f)
+        out.append((sent, tuple(int(v) for v in detect(y1, y2, h1, h2, cfg.m))))
     return out
 
 
@@ -214,11 +209,18 @@ class TestCodedKernel:
              [(979, 1804), (495, 812)]),
             (dict(scheme="astbc-fast", n=16, nt=4, m=8, snr_db_grid=(-4.0, 0.0), seed=32),
              [(1303, 3748), (745, 2168)]),
+            (dict(scheme="pb", n=16, snr_db_grid=(-16.0, -12.0), seed=41), [(55, None), (5, None)]),
+            (dict(scheme="pb-lowcomplexity", nt=4, snr_db_grid=(-8.0, -4.0), seed=42), [(578, None), (230, None)]),
+            (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(8, None), (3, None)]),
+            (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(468, None), (195, None)]),
+            (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1104, None), (700, None)]),
         ],
     )
     def test_golden_error_counts(self, kw, want):
-        # Recorded from the per-trial loop that preceded the chunked kernel.
-        records = run_ber_sweep(_cfg(trials=2000, **kw))
+        # The coded counts were recorded from the per-trial loop that preceded
+        # the chunked kernel, the pb-branch counts while that branch still
+        # shifted its antenna indices to 1-based and back.
+        records = run_ber_sweep(_cfg(**{"trials": 2000, **kw}))
         assert [(r.source_errors, r.ris_errors) for r in records] == want
 
     def test_chunk_budget_bounds_memory(self):
@@ -243,6 +245,23 @@ class TestAnalyticSweep:
         for m in (None, 3):
             with pytest.raises(ConfigError):
                 analytic_sweep("astbc-fast", 64, 4, m, [0.0])
+
+    @pytest.mark.parametrize(
+        "scheme, n, nt, m",
+        [
+            ("nope", 8, 2, None),
+            ("pb", 8, 3, None),
+            ("pb", 8, 4, None),
+            ("traditional-ssk", 0, 5, None),
+            ("pb-sdr", 8, 6, None),
+            ("astbc-optimal", 7, 2, 2),
+        ],
+    )
+    def test_applies_sweep_dimension_rules(self, scheme, n, nt, m):
+        with pytest.raises(ConfigError):
+            _cfg(scheme=scheme, n=n, nt=nt, m=m).validate()
+        with pytest.raises(ConfigError):
+            analytic_sweep(scheme, n, nt, m, [0.0])
 
 
 class TestDiversitySlope:
@@ -334,6 +353,16 @@ class TestOutputFiles:
         assert data[0]["source_errors"] == records[0].source_errors
         assert set(data[0]) == {f for f in records[0].__dataclass_fields__}
 
+    @pytest.mark.parametrize("short", [True, False])
+    def test_row_length_must_match_header(self, tmp_path, short):
+        p = tmp_path / "rows.csv"
+        write_csv(run_ber_sweep(_cfg(snr_db_grid=(-10.0,), trials=50)), p)
+        header, row = p.read_text().splitlines()
+        bad = row.rsplit(",", 1)[0] if short else row + ",7"
+        p.write_text(f"{header}\n{row}\n{bad}\n")
+        with pytest.raises(ValueError, match=r"rows\.csv:3"):
+            read_csv(p)
+
     def test_io_errors_carry_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             write_csv([], tmp_path / "no" / "such" / "dir.csv")
@@ -372,9 +401,22 @@ class TestCli:
         rows = read_csv(out)
         assert len(rows) == 2 and rows[0].trials == 400 and rows[0].seed == 1
 
-    def test_sweep_requires_scheme(self, capsys):
-        assert cli.main(["sweep", "--n", "8"]) == 2
-        assert "missing required setting" in capsys.readouterr().err
+    @pytest.mark.parametrize("key", ["scheme", "n", "nt", "snr", "trials", "seed"])
+    def test_sweep_requires_scheme(self, key, capsys):
+        flags = dict(scheme="pb", n="8", nt="2", snr="0", trials="10", seed="0")
+        del flags[key]
+        argv = ["sweep"] + [f"--{k}={v}" for k, v in flags.items()]
+        assert cli.main(argv) == 2
+        assert f"missing required setting: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("typo", ["trails = 5", "workerz = 4"])
+    def test_config_file_rejects_unknown_key(self, tmp_path, typo, capsys):
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text(f"scheme = pb\nn = 8\n{typo}\n")
+        argv = ["sweep", "--config", str(cfg_file), "--nt", "2", "--snr", "0", "--trials", "10", "--seed", "0"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"sim.cfg:3: unknown setting {typo.split()[0]!r}" in err
 
     def test_analytic_command(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"

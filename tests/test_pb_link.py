@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -15,11 +13,7 @@ from ris_ssk.channel import (
     substream,
 )
 from ris_ssk.pb_link import (
-    SskSymbol,
-    decode_ssk,
     detect_pb_ml,
-    encode_ssk,
-    index_bit_errors,
     label_bit_errors,
     transmit_detect_traditional_ssk,
     transmit_pb,
@@ -28,34 +22,32 @@ from ris_ssk.pb_link import (
 
 class TestSskMapping:
     def test_two_antenna_examples(self):
-        assert encode_ssk([0]).l == 1
-        assert encode_ssk([1]).l == 2
-
-    def test_four_antenna_msb_first(self):
-        assert encode_ssk([1, 1]).l == 4
-        assert encode_ssk([1, 0]).l == 3
-        assert encode_ssk([0, 1]).l == 2
+        # antenna 0 carries bit 0, antenna 1 carries bit 1
+        assert label_bit_errors(0, 0) == 0
+        assert label_bit_errors(0, 1) == 1
 
     def test_round_trip_exhaustive(self):
+        # every antenna index survives a noiseless pass through the link
         for nt in (2, 4, 8):
-            bits_len = int(np.log2(nt))
-            for bits in itertools.product((0, 1), repeat=bits_len):
-                sym = encode_ssk(bits)
-                assert 1 <= sym.l <= nt
-                assert decode_ssk(sym.l, nt) == bits
+            ch = sample_channel(8, nt, substream(20, nt))
+            rv = ReflectionVector(substream(20, nt, "oracle").uniform(0, 2 * np.pi, 8))
+            for l in range(nt):
+                y = transmit_pb(ch, rv, l, NoiseModel(0.0), substream(20, l, "data"))
+                assert detect_pb_ml(y, ch, rv) == l
 
     def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            encode_ssk([0, 2])
-        with pytest.raises(ValueError):
-            decode_ssk(1, 3)
-        with pytest.raises(IndexError):
-            decode_ssk(5, 4)
+        # a symbol is an antenna index in 0..nt-1; anything else is rejected
+        ch = sample_channel(4, 4, substream(21, 0), with_direct=True)
+        for l in (-1, 4):
+            with pytest.raises(IndexError):
+                transmit_pb(ch, np.ones(4, complex), l, NoiseModel(0.0), substream(21, 1, "data"))
+            with pytest.raises(IndexError):
+                transmit_detect_traditional_ssk(ch, l, NoiseModel(0.0), substream(21, 1, "data"))
 
-    def test_index_bit_errors_is_hamming_distance(self):
-        assert index_bit_errors(1, 1) == 0
-        assert index_bit_errors(1, 4) == 2  # 00 vs 11
-        assert index_bit_errors(2, 4) == 1  # 01 vs 11
+    def test_label_bit_errors_is_hamming_distance(self):
+        assert label_bit_errors(0, 0) == 0
+        assert label_bit_errors(0, 3) == 2  # 00 vs 11
+        assert label_bit_errors(1, 3) == 1  # 01 vs 11
 
     def test_label_bit_errors_sums_over_arrays(self):
         sent = np.array([[0, 3, 5], [7, 0, 1]])
@@ -68,13 +60,13 @@ class TestTransmitPb:
     def test_noiseless_equals_gain(self):
         ch = sample_channel(8, 2, substream(1, 0))
         rv = ReflectionVector(substream(1, 1).uniform(0, 2 * np.pi, 8))
-        y = transmit_pb(ch, rv, encode_ssk([1]), NoiseModel(0.0), substream(1, 2, "data"))
-        assert y == pytest.approx(effective_gain(ch, rv, 2))
+        y = transmit_pb(ch, rv, 1, NoiseModel(0.0), substream(1, 2, "data"))
+        assert y == pytest.approx(effective_gain(ch, rv, 1))
 
     def test_reproducible_given_stream(self):
         ch = sample_channel(8, 2, substream(2, 0))
         rv = ReflectionVector(np.zeros(8))
-        args = (ch, rv, encode_ssk([0]), NoiseModel(0.5))
+        args = (ch, rv, 0, NoiseModel(0.5))
         assert transmit_pb(*args, substream(2, 5, "data")) == transmit_pb(
             *args, substream(2, 5, "data")
         )
@@ -83,11 +75,10 @@ class TestTransmitPb:
         ch = sample_channel(4, 2, substream(3, 0))
         rv = ReflectionVector(np.zeros(4))
         noise = NoiseModel(n0=0.25)
-        gain = effective_gain(ch, rv, 1)
+        gain = effective_gain(ch, rv, 0)
         bank = StreamBank(3, "data")
-        sym = encode_ssk([0])
         dev = np.array(
-            [transmit_pb(ch, rv, sym, noise, bank.trial(k)) - gain for k in range(100_000)]
+            [transmit_pb(ch, rv, 0, noise, bank.trial(k)) - gain for k in range(100_000)]
         )
         assert np.mean(np.abs(dev) ** 2) == pytest.approx(0.25, rel=0.02)
 
@@ -96,7 +87,7 @@ class TestDetectPbMl:
     def test_noiseless_recovery(self):
         ch = sample_channel(8, 4, substream(4, 0))
         rv = ReflectionVector(substream(4, 1).uniform(0, 2 * np.pi, 8))
-        for l in range(1, 5):
+        for l in range(4):
             y = effective_gain(ch, rv, l)
             assert detect_pb_ml(y, ch, rv) == l
 
@@ -104,7 +95,7 @@ class TestDetectPbMl:
         ch = ChannelRealization(G=np.array([[1.0 + 0j, -1.0 + 0j]]), f=np.array([1.0 + 0j]))
         rv = ReflectionVector(np.zeros(1))
         # gains are +1 and -1; y = 0 is equidistant
-        assert detect_pb_ml(0j, ch, rv) == 1
+        assert detect_pb_ml(0j, ch, rv) == 0
 
     def test_matches_exhaustive_metric_oracle(self):
         rng = substream(5, 0, "oracle")
@@ -118,7 +109,7 @@ class TestDetectPbMl:
             l = int(g.integers(0, 4))
             z = g.standard_normal(2)
             y = gains[l] + complex(z[0], z[1]) * np.sqrt(noise.n0 / 2)
-            want = int(np.argmin([abs(y - gains[i]) ** 2 for i in range(4)])) + 1
+            want = int(np.argmin([abs(y - gains[i]) ** 2 for i in range(4)]))
             assert detect_pb_ml(y, ch, rv) == want
 
     def test_invariant_to_common_gain_offset(self):
@@ -142,13 +133,12 @@ class TestDetectPbMl:
 class TestTraditionalSsk:
     def test_noiseless_recovery_and_missing_direct(self):
         ch = sample_channel(1, 4, substream(7, 0), with_direct=True)
-        for l in range(1, 5):
-            sym = SskSymbol(l=l, bits=decode_ssk(l, 4))
-            got = transmit_detect_traditional_ssk(ch, sym, NoiseModel(0.0), substream(7, 1, "data"))
+        for l in range(4):
+            got = transmit_detect_traditional_ssk(ch, l, NoiseModel(0.0), substream(7, 1, "data"))
             assert got == l
         bare = sample_channel(1, 4, substream(7, 0))
         with pytest.raises(ValueError):
-            transmit_detect_traditional_ssk(bare, sym, NoiseModel(0.0), substream(7, 2, "data"))
+            transmit_detect_traditional_ssk(bare, l, NoiseModel(0.0), substream(7, 2, "data"))
 
     def test_tie_goes_to_lower_index(self):
         ch = ChannelRealization(
@@ -156,7 +146,6 @@ class TestTraditionalSsk:
             f=np.zeros(1, complex),
             d=np.array([1.0 + 0j, -1.0 + 0j]),
         )
-        sym = SskSymbol(l=2, bits=(1,))
         # noiseless y = -1... move to symmetric point via zero-noise trick:
         # craft d with equal distances from y by using y = d_2 and d = [d_2, d_2]
         ch_eq = ChannelRealization(
@@ -164,8 +153,8 @@ class TestTraditionalSsk:
             f=np.zeros(1, complex),
             d=np.array([0.5 + 0j, 0.5 + 0j]),
         )
-        got = transmit_detect_traditional_ssk(ch_eq, sym, NoiseModel(0.0), substream(8, 0, "data"))
-        assert got == 1
+        got = transmit_detect_traditional_ssk(ch_eq, 1, NoiseModel(0.0), substream(8, 0, "data"))
+        assert got == 0
 
     def test_high_snr_ber_below_1e3(self):
         noise = NoiseModel.from_snr_db(40.0)
@@ -176,9 +165,8 @@ class TestTraditionalSsk:
         for k in range(trials):
             ch = sample_channel(1, 2, ch_bank.trial(k), with_direct=True)
             g = data_bank.trial(k)
-            l = int(g.integers(0, 2)) + 1
-            sym = SskSymbol(l=l, bits=decode_ssk(l, 2))
-            errs += transmit_detect_traditional_ssk(ch, sym, noise, g) != l
+            l = int(g.integers(0, 2))
+            errs += transmit_detect_traditional_ssk(ch, l, noise, g) != l
         assert errs / trials < 1e-3
 
 
@@ -196,10 +184,9 @@ class TestPairwiseErrorConsistency:
         trials = 40_000
         bank = StreamBank(10, "data")
         errs = 0
-        sym = SskSymbol(l=1, bits=(0,))
         for k in range(trials):
-            y = transmit_pb(ch, rv, sym, noise, bank.trial(k))
-            errs += detect_pb_ml(y, ch, rv) != 1
+            y = transmit_pb(ch, rv, 0, noise, bank.trial(k))
+            errs += detect_pb_ml(y, ch, rv) != 0
         sigma = np.sqrt(want * (1 - want) / trials)
         assert abs(errs / trials - want) <= 3 * sigma
 
@@ -224,8 +211,8 @@ class TestPairwiseErrorConsistency:
             errs = 0
             for k in range(trials):
                 g = bank.trial(k)
-                l = int(g.integers(0, 4)) + 1
-                y = transmit_pb(ch, rv, SskSymbol(l=l, bits=decode_ssk(l, 4)), noise, g)
+                l = int(g.integers(0, 4))
+                y = transmit_pb(ch, rv, l, noise, g)
                 errs += detect_pb_ml(y, ch, rv) != l
             p = errs / trials
             assert p <= min(bound, 1.0) + 3 * np.sqrt(max(p, 1e-6) * (1 - p) / trials)
