@@ -34,7 +34,7 @@ from .channel import (
     ChannelRealization,
     NoiseModel,
     StreamBank,
-    effective_gain,
+    cascaded_gains,
     sample_awgn,
     sample_channel,
     substream,

@@ -1,14 +1,15 @@
 """Reflection-coefficient optimizers for minimum-distance passive beamforming.
 
 The design objective throughout is the minimum squared distance between the
-noiseless receive points of any two transmit antennas.  Optimizers provided:
+noiseless receive points of any two transmit antennas.  The optimizers
+return unit-modulus coefficients; the closed forms take leading trial axes:
 
 * closed form for two antennas,
 * a semidefinite-relaxation pipeline (low-rank factorized first-order solve,
   Gaussian randomization rounding, unit-modulus polish),
 * a candidate-set heuristic built from the pairwise closed forms,
 * an exhaustive phase-grid search used as a validation oracle,
-* instantaneous-SNR alignment to a known active antenna (baseline scheme).
+* instantaneous-SNR alignment to each possible active antenna (baseline scheme).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, cascaded_gains
 
 _TWO_PI = 2.0 * np.pi
 
@@ -37,20 +38,15 @@ class SdrDiagnostics:
 
 @dataclass
 class ReflectionVector:
-    """Unit-modulus reflection coefficients, stored as phases in [0, 2pi)."""
+    """The relaxation's unit-modulus reflection coefficients and diagnostics."""
 
-    theta: np.ndarray
+    phi: np.ndarray
     diagnostics: SdrDiagnostics | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.theta = np.mod(np.asarray(self.theta, dtype=float), _TWO_PI)
-
     @property
-    def phi(self) -> np.ndarray:
-        return np.exp(1j * self.theta)
-
-    def __len__(self) -> int:
-        return len(self.theta)
+    def theta(self) -> np.ndarray:
+        """The coefficients' phases in [0, 2pi)."""
+        return np.mod(np.angle(self.phi), _TWO_PI)
 
 
 @dataclass
@@ -86,71 +82,81 @@ def _pairs(nt: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _dmin(ch: ChannelRealization, coeffs: np.ndarray) -> np.ndarray:
-    """Minimum pairwise squared distance for each row of ``coeffs`` (..., N)."""
-    gains = (coeffs * ch.f) @ ch.G
-    i, j = _pairs(ch.nt)
+def _dmin(gains: np.ndarray) -> np.ndarray:
+    """Minimum pairwise squared distance over the antenna axis of ``gains`` (..., Nt)."""
+    i, j = _pairs(gains.shape[-1])
     return (np.abs(gains[..., i] - gains[..., j]) ** 2).min(axis=-1)
 
 
 def min_pairwise_distance(ch: ChannelRealization, phi) -> float:
-    """Minimum squared distance between any two antennas' receive points."""
+    """Minimum squared distance between any two antennas' receive points
+    (one channel, one coefficient vector)."""
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
-    return float(_dmin(ch, np.asarray(getattr(phi, "phi", phi))))
+    return _dmin(cascaded_gains(ch.G, ch.f, getattr(phi, "phi", phi))).item()
 
 
 def _pair_rows(ch: ChannelRealization) -> np.ndarray:
-    """Stacked rows a_p = f * (g_i - g_j) for all antenna pairs i < j."""
+    """Rows a_p = f * (g_i - g_j) for all antenna pairs i < j, shaped (..., K, N)."""
     i, j = _pairs(ch.nt)
-    return (ch.f[:, None] * (ch.G[:, i] - ch.G[:, j])).T
+    cols = np.swapaxes(ch.G, -1, -2)
+    return ch.f[..., None, :] * (cols[..., i, :] - cols[..., j, :])
 
 
-def optimal_two_tx(ch: ChannelRealization) -> ReflectionVector:
-    """Closed-form distance-maximizing phases for exactly two antennas.
+def _align(u: np.ndarray) -> np.ndarray:
+    """Unit-modulus conj(u)/|u|, which turns each u onto the positive real
+    axis; 1 (phase 0) where u = 0.  Every closed form aligns through it, so
+    equal inputs give bit-equal coefficients on every path."""
+    mag = np.abs(u)
+    zero = mag == 0
+    mag += zero
+    out = u.conj()
+    out += zero
+    out /= mag
+    return out
+
+
+def optimal_two_tx(ch: ChannelRealization) -> np.ndarray:
+    """Closed-form distance-maximizing coefficients for exactly two antennas.
 
     Aligns every term f_i (g_i1 - g_i2) to the positive real axis, so the
     cascade equals sum_i |f_i| |g_i1 - g_i2|.  Elements with a zero product
-    get phase 0.
+    get phase 0.  Returns (..., N) for channels with leading axes (...).
     """
     if ch.nt != 2:
         raise ValueError("closed form requires exactly two transmit antennas")
-    dg = ch.G[:, 0] - ch.G[:, 1]
-    theta = -np.arctan2(ch.f.imag, ch.f.real) - np.arctan2(dg.imag, dg.real)  # np.angle, minus its wrapper
-    return ReflectionVector(theta=theta)
+    return _align(_pair_rows(ch)[..., 0, :])
 
 
-def intelligent_ris_phases(ch: ChannelRealization, l: int) -> ReflectionVector:
-    """Phases aligning every element to the cascade of the active antenna.
+def intelligent_ris_phases(ch: ChannelRealization) -> np.ndarray:
+    """Coefficients aligning every element to the cascade of each antenna.
 
-    Maximizes the instantaneous receive SNR for the known 0-based index
-    ``l``; the resulting cascade is real and equals sum_i |f_i| |g_il|.
+    Row l of the (..., Nt, N) result maximizes the instantaneous receive
+    SNR when the 0-based antenna l is active; its cascade is real and equals
+    sum_i |f_i| |g_il|.
     """
-    if not 0 <= l < ch.nt:
-        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
-    theta = -np.angle(ch.f) - np.angle(ch.G[:, l])
-    return ReflectionVector(theta=theta)
+    return _align(ch.f[..., None, :] * np.swapaxes(ch.G, -1, -2))
 
 
-def low_complexity_beamform(ch: ChannelRealization) -> ReflectionVector:
+def low_complexity_beamform(ch: ChannelRealization) -> np.ndarray:
     """Best of the Nt(Nt-1)/2 pairwise closed-form candidates.
 
     Evaluates the two-antenna alignment for every antenna pair and keeps
     the candidate with the largest minimum pairwise distance (ties broken
-    by candidate order).
+    by candidate order).  Returns (..., N) for channels with leading axes.
     """
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
-    i, j = _pairs(ch.nt)
-    theta = -np.angle(ch.f) - np.angle(ch.G[:, i] - ch.G[:, j]).T
-    return ReflectionVector(theta=theta[np.argmax(_dmin(ch, np.exp(1j * theta)))])
+    cand = _align(_pair_rows(ch))
+    best = _dmin(cascaded_gains(ch.G, ch.f, cand)).argmax(axis=-1)
+    return np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
 
 
 def brute_force_beamform(
     ch: ChannelRealization,
     levels: int,
     budget: int = 1 << 20,
-) -> ReflectionVector:
+) -> np.ndarray:
     """Exhaustive search over a uniform phase grid (validation oracle).
 
     Every element phase ranges over {2 pi k / levels}; the grid-global
@@ -165,24 +171,15 @@ def brute_force_beamform(
     if total > budget:
         raise ValueError(f"grid of {total} evaluations exceeds budget {budget}")
     table = np.exp(1j * _TWO_PI * np.arange(levels) / levels)
-    best_d, best_combo = -np.inf, None
-    chunk = 1 << 14
-    combos = np.empty((min(chunk, total), ch.n), dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop)
-        for col in range(ch.n - 1, -1, -1):
-            combos[: stop - start, col] = idx % levels
-            idx = idx // levels
-        block = combos[: stop - start]
-        dmin = _dmin(ch, table[block])
+    best_d, best = -np.inf, None
+    for start in range(0, total, 1 << 14):
+        idx = np.arange(start, min(start + (1 << 14), total))
+        coeffs = table[np.stack(np.unravel_index(idx, (levels,) * ch.n), axis=-1)]
+        dmin = _dmin(cascaded_gains(ch.G, ch.f, coeffs))
         k = int(np.argmax(dmin))
         if dmin[k] > best_d:
-            best_d = float(dmin[k])
-            best_combo = block[k].copy()
-        start = stop
-    return ReflectionVector(theta=_TWO_PI * best_combo / levels)
+            best_d, best = float(dmin[k]), coeffs[k]
+    return best
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -284,7 +281,7 @@ def sdr_beamform(
     # on the unit-modulus set (unit norm of a length-1 row).
     z = rng.standard_normal((T, 2, rank))
     cand = _unit_rows((X[:, b] @ (z[:, 0] + 1j * z[:, 1]).T)[:, :, None])[:, :, 0]
-    d_raw = _dmin(ch, cand.T)
+    d_raw = _dmin(cascaded_gains(ch.G, ch.f, cand.T))
     order = np.lexsort((np.arange(T), -d_raw))
     temps = np.geomspace(0.3, 1e-4, 8) * scale
     polished = _anneal(A, cand[:, order, None], scale, temps, 0.5 / scale, 60, 0.0)[0][:, :, 0]
@@ -293,7 +290,7 @@ def sdr_beamform(
     # first; the first maximum wins.
     vecs = np.stack([polished, cand[:, order]], axis=2).reshape(ch.n, -1)
     owner = np.repeat(order, 2)
-    d = _dmin(ch, vecs.T)
+    d = _dmin(cascaded_gains(ch.G, ch.f, vecs.T))
     k = int(np.argmax(d))
     best_vec = vecs[:, k]
     diag = SdrDiagnostics(
@@ -304,4 +301,4 @@ def sdr_beamform(
         candidate_index=int(owner[k]),
         d_min=float(d[k]),
     )
-    return ReflectionVector(theta=np.angle(best_vec), diagnostics=diag)
+    return ReflectionVector(phi=best_vec, diagnostics=diag)

@@ -131,29 +131,30 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the reflected link: G is source-to-surface (N x Nt),
-    f is surface-to-destination (N,), and d is an optional direct
-    source-to-destination link (Nt,) used only by the direct-link baseline."""
+    """Draws of the reflected link: G is source-to-surface (..., N, Nt), f is
+    surface-to-destination (..., N), and d is an optional direct
+    source-to-destination link (..., Nt) used only by the direct-link
+    baseline.  Leading axes index trials; one draw has none."""
 
     G: np.ndarray
     f: np.ndarray
     d: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.G.ndim != 2:
-            raise ValueError("G must be a 2-D matrix")
-        if self.f.ndim != 1 or self.f.shape[0] != self.G.shape[0]:
-            raise ValueError("f must be a vector with one entry per reflecting element")
-        if self.d is not None and self.d.shape != (self.G.shape[1],):
+        if self.G.ndim < 2:
+            raise ValueError("G must be a matrix per trial, shaped (..., N, Nt)")
+        if self.f.shape != self.G.shape[:-1]:
+            raise ValueError("f must have one entry per reflecting element")
+        if self.d is not None and self.d.shape != self.G.shape[:-2] + self.G.shape[-1:]:
             raise ValueError("d must have one entry per transmit antenna")
 
     @property
     def n(self) -> int:
-        return self.G.shape[0]
+        return self.G.shape[-2]
 
     @property
     def nt(self) -> int:
-        return self.G.shape[1]
+        return self.G.shape[-1]
 
 
 def channel_draw_size(n: int, nt: int, with_direct: bool = False) -> int:
@@ -209,23 +210,11 @@ def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:
     return complex(re * scale, im * scale)
 
 
-def effective_gain(ch: ChannelRealization, phi, l: int) -> complex:
-    """Cascaded scalar channel seen from antenna ``l`` (0-based).
+def cascaded_gains(G: np.ndarray, f: np.ndarray, coeffs) -> np.ndarray:
+    """Cascaded gains sum_i f_i g_il c_ki of every antenna l under each of K
+    coefficient rows c_k, shaped (..., K, Nt).
 
-    Computes sum_i f_i * g_il * phi_i for unit-modulus reflection
-    coefficients ``phi`` (a complex array or any object exposing ``.phi``).
+    G is (..., N, Nt), f is (..., N) and coeffs is (..., K, N); a single
+    coefficient vector (N,) is the case K = 1.
     """
-    coeff = np.asarray(getattr(phi, "phi", phi))
-    if coeff.shape != (ch.n,):
-        raise ValueError("reflection vector length must match the element count")
-    if not 0 <= l < ch.nt:
-        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
-    return complex((ch.f * coeff * ch.G[:, l]).sum())
-
-
-def all_effective_gains(ch: ChannelRealization, phi) -> np.ndarray:
-    """Cascaded gains for every transmit antenna at once (length Nt)."""
-    coeff = np.asarray(getattr(phi, "phi", phi))
-    if coeff.shape != (ch.n,):
-        raise ValueError("reflection vector length must match the element count")
-    return (ch.f * coeff) @ ch.G
+    return (coeffs * f[..., None, :]) @ G

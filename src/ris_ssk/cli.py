@@ -74,8 +74,8 @@ def _build_sim_config(args) -> harness.SimConfig:
     if isinstance(grid, str):
         grid = _parse_snr_grid(grid)
     sdr = None
-    if scheme == "pb-sdr":
-        sdr = beamform.SdrOptions(rounding_count=int(raw.get("rounding_count", 100)))
+    if "rounding_count" in raw:
+        sdr = beamform.SdrOptions(rounding_count=int(raw["rounding_count"]))
     cfg = harness.SimConfig(
         scheme=scheme,
         snr_db_grid=grid,
@@ -91,7 +91,8 @@ def _print_records(records) -> None:
     for r in records:
         ci = ""
         if r.trials and r.source_errors is not None:
-            lo, hi = harness.binomial_confidence(r.source_errors, r.trials)
+            bits = r.trials * harness._bits_per_trial(r.scheme, r.nt, r.m)[0]
+            lo, hi = harness.binomial_confidence(r.source_errors, bits)
             ci = f"  ci3s=[{lo:.3e},{hi:.3e}]"
         ris = f"  ber_ris={r.ber_ris:.4e}" if r.ber_ris is not None else ""
         ana = f"  analytic={r.analytic_source:.4e}" if r.analytic_source is not None else ""
@@ -144,10 +145,10 @@ def _cmd_optimize(args) -> int:
     d = beamform.min_pairwise_distance(ch, rv)
     np.set_printoptions(precision=6, suppress=True)
     print(f"method={args.method} n={args.n} nt={args.nt} seed={args.seed}")
-    print(f"theta = {rv.theta}")
+    print(f"theta = {np.mod(np.angle(getattr(rv, 'phi', rv)), 2 * np.pi)}")
     print(f"d_min = {d:.6f}")
-    if rv.diagnostics is not None:
-        g = rv.diagnostics
+    g = getattr(rv, "diagnostics", None)
+    if g is not None:
         print(
             f"solver: iterations={g.iterations} converged={g.converged} "
             f"relaxation_objective={g.relaxation_objective:.6f} "

@@ -20,8 +20,10 @@ import numpy as np
 from . import analysis, astbc_link, beamform, pb_link
 from .channel import (
     SEED_LIMIT,
+    ChannelRealization,
     NoiseModel,
     StreamBank,
+    cascaded_gains,
     channel_draw_size,
     sample_channel,
     split_channel_draws,
@@ -83,6 +85,8 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
             raise ConfigError("two-sub-surface coding needs an even element count")
         if m is None or m < 2 or m & (m - 1):
             raise ConfigError("astbc schemes need a power-of-two PSK order m")
+    elif m is not None:
+        raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
 
 
 @dataclass
@@ -91,9 +95,10 @@ class SimConfig:
 
     ``trials`` is the per-point budget; when ``target_errors`` is set the
     point stops early once every counted bit stream has accumulated that
-    many errors (checked at a fixed interval).  ``record_wall_time`` is
-    off by default so identical configurations produce byte-identical
-    output files.
+    many errors (checked at a fixed interval).  ``m`` (astbc schemes only)
+    and ``sdr`` (pb-sdr only) are rejected for the schemes that do not use
+    them.  ``record_wall_time`` is off by default so identical
+    configurations produce byte-identical output files.
     """
 
     scheme: str
@@ -128,6 +133,8 @@ class SimConfig:
             raise ConfigError("workers must be at least 1")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigError("target_errors must be at least 1")
+        if self.sdr is not None and self.scheme != "pb-sdr":
+            raise ConfigError(f"relaxation options apply only to 'pb-sdr', not {self.scheme!r}")
 
 
 @dataclass
@@ -162,11 +169,16 @@ def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _coded_trial_elements(cfg: SimConfig) -> int:
-    """Elements of the largest per-trial array the coded kernel builds."""
-    nt, m = cfg.nt, cfg.m
-    metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
-    return max(channel_draw_size(cfg.n, nt), metric)
+def _trial_elements(cfg: SimConfig) -> int:
+    """Elements of the largest per-trial array the scheme's kernel builds."""
+    n, nt, m = cfg.n, cfg.nt, cfg.m
+    if cfg.scheme in _ASTBC_SCHEMES:
+        metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
+        return max(channel_draw_size(n, nt), metric)
+    if cfg.scheme == "traditional-ssk":
+        return nt
+    pairs = nt * (nt - 1) // 2 if cfg.scheme == "pb-lowcomplexity" else 1
+    return max(n, nt) * max(nt, pairs)
 
 
 def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
@@ -182,7 +194,7 @@ def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     ch_bank = StreamBank(cfg.seed, "channel")
     data_bank = StreamBank(cfg.seed, "data")
     detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
-    chunk = max(1, min(count, _CHUNK_ELEMENTS // _coded_trial_elements(cfg)))
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
     z = np.empty((chunk, channel_draw_size(n, nt)))
     sent = np.empty((chunk, 3), dtype=np.int64)
     w = np.empty((chunk, 4))
@@ -209,53 +221,71 @@ def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         yield sent[:b], np.stack(detect(y1, y2, h1, h2, m), axis=-1)
 
 
-def _count_trials(
-    cfg: SimConfig, snr_db: float, start: int, count: int
-) -> tuple[int, int]:
-    """Run trials [start, start + count) at one SNR point; return error counts."""
-    noise = NoiseModel.from_snr_db(snr_db)
-    scheme = cfg.scheme
-    if scheme in _ASTBC_SCHEMES:
-        src_err = ris_err = 0
-        for sent, detected in _coded_chunks(cfg, noise, start, count):
-            src_err += pb_link.label_bit_errors(sent[:, 0], detected[:, 0])
-            ris_err += pb_link.label_bit_errors(sent[:, 1:], detected[:, 1:])
-        return src_err, ris_err
+def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
+    """Beamformed trials [start, start + count) in chunks; yields (sent,
+    detected), each a (chunk, 1) array of 0-based antenna indices.
 
+    Per trial, only the keyed draws run in Python, each on the trial's own
+    streams and in a fixed order: the channel (direct links only for
+    traditional-ssk), the pb-sdr solve on the trial's sdr stream, then the
+    antenna index and the noise through ``transmit_pb``.  Beamforming,
+    the cascaded-gain table (the gains of all antennas as the receiver sees
+    them while antenna l is active) and the ML decision run once per chunk.
+    """
+    n, nt, scheme = cfg.n, cfg.nt, cfg.scheme
     ch_bank = StreamBank(cfg.seed, "channel")
     data_bank = StreamBank(cfg.seed, "data")
     sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
-    n, nt = cfg.n, cfg.nt
-    with_direct = scheme == "traditional-ssk"
-    block = max(1, min(count, _CHUNK_ELEMENTS))  # one element per trial in each index array
-    sent = np.empty(block, dtype=np.int64)
-    detected = np.empty(block, dtype=np.int64)
-    src_err = 0
-    for at in range(start, start + count, block):
-        b = min(block, start + count - at)
+    direct = scheme == "traditional-ssk"
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
+    if direct:
+        d = np.empty((chunk, nt), dtype=complex)
+    else:
+        G = np.empty((chunk, n, nt), dtype=complex)
+        f = np.empty((chunk, n), dtype=complex)
+        coeff = np.empty((chunk, n), dtype=complex)
+    sent = np.empty((chunk, 1), dtype=np.int64)
+    y = np.empty(chunk, dtype=complex)
+    for at in range(start, start + count, chunk):
+        b = min(chunk, start + count - at)
         for t in range(b):
-            k = at + t
-            ch = sample_channel(n, nt, ch_bank.trial(k), with_direct=with_direct)
-            rng = data_bank.trial(k)
-            l = int(rng.integers(0, nt))
-            if scheme == "traditional-ssk":
-                lhat = pb_link.transmit_detect_traditional_ssk(ch, l, noise, rng)
+            ch = sample_channel(n, nt, ch_bank.trial(at + t), with_direct=direct)
+            if direct:
+                d[t] = ch.d
+            else:
+                G[t], f[t] = ch.G, ch.f
+                if sdr_bank is not None:
+                    coeff[t] = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(at + t)).phi
+        if direct:
+            table = np.broadcast_to(d[:b, None], (b, nt, nt))
+        else:
+            chs = ChannelRealization(G[:b], f[:b])
+            if scheme == "intelligent-ris-ssk":  # realigned to each active antenna
+                table = cascaded_gains(chs.G, chs.f, beamform.intelligent_ris_phases(chs))
             else:
                 if scheme == "pb":
-                    phi = beamform.optimal_two_tx(ch)
+                    coeff[:b] = beamform.optimal_two_tx(chs)
                 elif scheme == "pb-lowcomplexity":
-                    phi = beamform.low_complexity_beamform(ch)
-                elif scheme == "pb-sdr":
-                    phi = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(k))
-                else:  # intelligent-ris-ssk: realign to the active antenna each time
-                    phi = beamform.intelligent_ris_phases(ch, l)
-                coeff = phi.phi  # materialize once; transmit and detect share it
-                y = pb_link.transmit_pb(ch, coeff, l, noise, rng)
-                lhat = pb_link.detect_pb_ml(y, ch, coeff)
+                    coeff[:b] = beamform.low_complexity_beamform(chs)
+                table = np.broadcast_to(cascaded_gains(chs.G, chs.f, coeff[:b, None]), (b, nt, nt))
+        for t in range(b):
+            rng = data_bank.trial(at + t)
+            l = rng.integers(0, nt)
             sent[t] = l
-            detected[t] = lhat
-        src_err += pb_link.label_bit_errors(sent[:b], detected[:b])
-    return src_err, 0
+            y[t] = pb_link.transmit_pb(table[t, l], l, noise, rng)
+        gains = table[np.arange(b), sent[:b, 0]]
+        yield sent[:b], pb_link.detect_pb_ml(y[:b], gains)[:, None]
+
+
+def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tuple[int, int]:
+    """Run trials [start, start + count) at one SNR point; return error counts."""
+    noise = NoiseModel.from_snr_db(snr_db)
+    chunks = _coded_chunks if cfg.scheme in _ASTBC_SCHEMES else _pb_chunks
+    src_err = ris_err = 0
+    for sent, detected in chunks(cfg, noise, start, count):
+        src_err += pb_link.label_bit_errors(sent[:, 0], detected[:, 0])
+        ris_err += pb_link.label_bit_errors(sent[:, 1:], detected[:, 1:])
+    return src_err, ris_err
 
 
 def _count_trials_star(args):
@@ -404,14 +434,19 @@ def estimate_diversity_slope(records: list[BerRecord]) -> float:
 
 
 def binomial_confidence(errors: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for an error rate (z standard deviations)."""
+    """Wilson score interval for an error rate (z standard deviations) over
+    ``trials`` Bernoulli trials (bits, for a BER); exactly 0 or 1 at the ends."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= errors <= trials:
+        raise ValueError(f"errors must be in [0, trials], got {errors} of {trials}")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    lo = max(center - half, 0.0) if errors else 0.0
+    hi = min(center + half, 1.0) if errors < trials else 1.0
+    return lo, hi
 
 
 def _format_cell(name: str, value) -> str:

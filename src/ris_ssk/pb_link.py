@@ -2,22 +2,17 @@
 
 The source conveys bits purely through the index of its single active
 antenna; the destination runs scalar maximum-likelihood detection against
-the cascaded gains.  A direct-link variant (no reflecting surface) serves
-as the classic baseline.  Antenna indices are 0-based, and an index's bit
-label is its natural binary value.
+the gains of all antennas.  The gains are the cascaded gains of the
+reflected link or, for the classic direct-link baseline, the direct links
+themselves.  Antenna indices are 0-based, and an index's bit label is its
+natural binary value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import (
-    ChannelRealization,
-    NoiseModel,
-    all_effective_gains,
-    effective_gain,
-    sample_awgn,
-)
+from .channel import NoiseModel, sample_awgn
 
 
 def label_bit_errors(sent, detected) -> int:
@@ -28,36 +23,17 @@ def label_bit_errors(sent, detected) -> int:
     return int(np.unpackbits(diff.view(np.uint8)).sum())
 
 
-def transmit_pb(
-    ch: ChannelRealization,
-    phi,
-    l: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> complex:
-    """Received sample when antenna ``l`` is active: cascaded gain plus AWGN."""
-    return effective_gain(ch, phi, l) + sample_awgn(noise, rng)
+def transmit_pb(gains: np.ndarray, l: int, noise: NoiseModel, rng: np.random.Generator) -> complex:
+    """Received sample y = gains[l] + w when antenna ``l`` of one trial's
+    gain vector (length Nt) is active; w is drawn from ``rng``."""
+    if not 0 <= l < len(gains):
+        raise IndexError(f"antenna index {l} out of range 0..{len(gains) - 1}")
+    return gains[l] + sample_awgn(noise, rng)
 
 
-def detect_pb_ml(y: complex, ch: ChannelRealization, phi) -> int:
-    """ML antenna decision: the index whose cascaded gain is closest to y.
+def detect_pb_ml(y, gains: np.ndarray) -> np.ndarray:
+    """ML antenna decisions: per trial, the index of the gain nearest to y.
 
-    Ties resolve to the lowest index.
+    ``y`` is (...) and ``gains`` (..., Nt); ties resolve to the lowest index.
     """
-    gains = all_effective_gains(ch, phi)
-    return int((np.abs(y - gains) ** 2).argmin())
-
-
-def transmit_detect_traditional_ssk(
-    ch: ChannelRealization,
-    l: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> int:
-    """One shot of direct-link SSK: y = d_l + w, then scalar ML detection."""
-    if ch.d is None:
-        raise ValueError("channel realization carries no direct links")
-    if not 0 <= l < len(ch.d):
-        raise IndexError(f"antenna index {l} out of range 0..{len(ch.d) - 1}")
-    y = ch.d[l] + sample_awgn(noise, rng)
-    return int(np.argmin(np.abs(y - ch.d) ** 2))
+    return (np.abs(np.asarray(y)[..., None] - gains) ** 2).argmin(axis=-1)

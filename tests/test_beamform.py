@@ -14,17 +14,27 @@ from ris_ssk.beamform import (
     optimal_two_tx,
     sdr_beamform,
 )
-from ris_ssk.channel import ChannelRealization, effective_gain, sample_channel, substream
+from ris_ssk.channel import ChannelRealization, cascaded_gains, sample_channel, substream
 
 
 def _channel(n, nt, seed, trial=0):
     return sample_channel(n, nt, substream(seed, trial, "oracle"))
 
 
+def _gain(ch, phi, l):
+    """Plain per-element sum of the cascade seen from antenna l."""
+    return sum(ch.f[i] * ch.G[i, l] * phi[i] for i in range(ch.n))
+
+
+def _stack(chs):
+    """The channels as one realization with a leading trial axis."""
+    return ChannelRealization(G=np.stack([c.G for c in chs]), f=np.stack([c.f for c in chs]))
+
+
 class TestMinPairwiseDistance:
     def test_single_element_two_antennas(self):
         ch = ChannelRealization(G=np.array([[1.0 + 0j, 0.0 + 0j]]), f=np.array([1.0 + 0j]))
-        assert min_pairwise_distance(ch, ReflectionVector(np.zeros(1))) == pytest.approx(1.0)
+        assert min_pairwise_distance(ch, np.ones(1, complex)) == pytest.approx(1.0)
 
     def test_degenerate_identical_columns(self):
         g = substream(1, 0).standard_normal(4) + 0j
@@ -38,9 +48,7 @@ class TestMinPairwiseDistance:
         dists = []
         for a in range(3):
             for b in range(a + 1, 3):
-                dists.append(
-                    abs(effective_gain(ch, phi, a) - effective_gain(ch, phi, b)) ** 2
-                )
+                dists.append(abs(_gain(ch, phi, a) - _gain(ch, phi, b)) ** 2)
         assert len(dists) == 3
         assert min_pairwise_distance(ch, phi) == pytest.approx(min(dists))
 
@@ -62,14 +70,15 @@ class TestOptimalTwoTx:
     def test_single_element_example(self):
         # f = 1, g11 = j, g12 = -j: angle(g11 - g12) = pi/2, so theta = 3pi/2
         ch = ChannelRealization(G=np.array([[1j, -1j]]), f=np.array([1.0 + 0j]))
-        rv = optimal_two_tx(ch)
-        assert rv.theta[0] == pytest.approx(3 * np.pi / 2)
-        assert min_pairwise_distance(ch, rv) == pytest.approx(4.0)
+        phi = optimal_two_tx(ch)
+        assert phi[0] == pytest.approx(np.exp(1j * 3 * np.pi / 2))
+        assert min_pairwise_distance(ch, phi) == pytest.approx(4.0)
 
     def test_cascade_real_nonnegative_and_equals_modulus_sum(self):
         ch = _channel(8, 2, 11)
-        rv = optimal_two_tx(ch)
-        cascade = np.sum(ch.f * (ch.G[:, 0] - ch.G[:, 1]) * rv.phi)
+        phi = optimal_two_tx(ch)
+        assert np.allclose(np.abs(phi), 1.0, atol=1e-15)
+        cascade = np.sum(ch.f * (ch.G[:, 0] - ch.G[:, 1]) * phi)
         want = np.sum(np.abs(ch.f) * np.abs(ch.G[:, 0] - ch.G[:, 1]))
         assert cascade.imag == pytest.approx(0.0, abs=1e-12 * want)
         assert cascade.real == pytest.approx(want)
@@ -92,12 +101,27 @@ class TestOptimalTwoTx:
 
     def test_zero_product_entries_get_zero_phase(self):
         ch = ChannelRealization(G=np.array([[1j, 1j], [1j, -1j]]), f=np.array([1.0 + 0j, 1 + 0j]))
-        rv = optimal_two_tx(ch)
-        assert rv.theta[0] == pytest.approx(0.0)  # g11 - g12 = 0 there
+        assert optimal_two_tx(ch)[0] == 1.0  # g11 - g12 = 0 there
 
     def test_requires_exactly_two(self):
         with pytest.raises(ValueError):
             optimal_two_tx(_channel(4, 4, 1))
+
+
+class TestLeadingTrialAxes:
+    """A stack of channels gives, row by row, the one-channel coefficients."""
+
+    @pytest.mark.parametrize("nt", [2, 4, 8])
+    def test_closed_forms_match_one_channel_calls(self, nt):
+        chs = [_channel(8, nt, 97, t) for t in range(12)]
+        chs[3] = ChannelRealization(G=chs[3].G, f=np.zeros(8, complex))  # zero-gain row
+        batch = _stack(chs)
+        two = [optimal_two_tx] if nt == 2 else []
+        for beamformer in [low_complexity_beamform, intelligent_ris_phases] + two:
+            got = beamformer(batch)
+            for t, ch in enumerate(chs):
+                assert np.array_equal(got[t], beamformer(ch))
+        assert np.array_equal(low_complexity_beamform(batch)[3], np.ones(8))
 
 
 class TestPairMatrix:
@@ -132,7 +156,7 @@ class TestLowComplexity:
         ch = _channel(8, 2, 37)
         lc = low_complexity_beamform(ch)
         opt = optimal_two_tx(ch)
-        assert np.array_equal(lc.theta, opt.theta)
+        assert np.array_equal(lc, opt)
         assert min_pairwise_distance(ch, lc) == min_pairwise_distance(ch, opt)
 
     def test_argmax_over_all_pair_candidates(self):
@@ -150,15 +174,15 @@ class TestLowComplexity:
     def test_matches_pairwise_reference_loop(self):
         for trial in range(200):
             ch = _channel(8, (2, 4, 8)[trial % 3], 43, trial)
-            best_theta, best_d = None, -np.inf
+            best_phi, best_d = None, -np.inf
             for i in range(ch.nt):
                 for j in range(i + 1, ch.nt):
-                    theta = -np.angle(ch.f) - np.angle(ch.G[:, i] - ch.G[:, j])
-                    d = min_pairwise_distance(ch, np.exp(1j * theta))
+                    u = ch.f * (ch.G[:, i] - ch.G[:, j])
+                    phi = np.conj(u) / np.abs(u)
+                    d = min_pairwise_distance(ch, phi)
                     if d > best_d:
-                        best_d, best_theta = d, theta
-            want = ReflectionVector(theta=best_theta).theta
-            assert np.array_equal(low_complexity_beamform(ch).theta, want)
+                        best_d, best_phi = d, phi
+            assert np.array_equal(low_complexity_beamform(ch), best_phi)
 
 
 class TestBruteForce:
@@ -190,25 +214,26 @@ class TestBruteForce:
 class TestIntelligentPhases:
     def test_sign_flip_single_element(self):
         ch = ChannelRealization(G=np.array([[-1.0 + 0j]]), f=np.array([1.0 + 0j]))
-        rv = intelligent_ris_phases(ch, 0)
-        assert rv.theta[0] == pytest.approx(np.pi)
-        assert effective_gain(ch, rv, 0) == pytest.approx(1.0)
+        phases = intelligent_ris_phases(ch)
+        assert phases.shape == (1, 1)
+        assert phases[0, 0] == pytest.approx(-1.0)
+        assert _gain(ch, phases[0], 0) == pytest.approx(1.0)
 
     def test_gain_equals_modulus_sum(self):
-        ch = _channel(16, 2, 59)
-        for l in (0, 1):
-            rv = intelligent_ris_phases(ch, l)
+        ch = _channel(16, 4, 59)
+        table = cascaded_gains(ch.G, ch.f, intelligent_ris_phases(ch))
+        for l in range(4):
             want = np.sum(np.abs(ch.f) * np.abs(ch.G[:, l]))
-            assert effective_gain(ch, rv, l) == pytest.approx(want, rel=1e-12)
+            assert table[l, l] == pytest.approx(want, rel=1e-12)
 
     def test_dominates_random_phases(self):
         ch = _channel(8, 2, 61)
-        rv = intelligent_ris_phases(ch, 1)
-        best = abs(effective_gain(ch, rv, 1)) ** 2
+        phi = intelligent_ris_phases(ch)[1]
+        best = abs(_gain(ch, phi, 1)) ** 2
         rng = substream(61, 1, "oracle")
         for _ in range(1000):
             psi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-            assert best >= abs(effective_gain(ch, psi, 1)) ** 2
+            assert best >= abs(_gain(ch, psi, 1)) ** 2
 
 
 # d_min reported by sdr_beamform at default options on (n, nt, seed, trial)
@@ -278,7 +303,7 @@ class TestSdrBeamform:
         ch = _channel(5, 4, 83)
         a = sdr_beamform(ch, rng=substream(83, 0, "sdr"))
         b = sdr_beamform(ch, rng=substream(83, 0, "sdr"))
-        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.phi, b.phi)
 
     def test_beats_zero_phase_floor_on_average(self):
         sdr_gain, lc_gain = [], []
@@ -295,9 +320,7 @@ class TestSdrBeamform:
 
 class TestReflectionVector:
     def test_phases_wrapped_to_principal_range(self):
-        rv = ReflectionVector(np.array([-np.pi / 2, 2 * np.pi + 0.25, 7.0]))
+        rv = ReflectionVector(np.exp(1j * np.array([-np.pi / 2, 2 * np.pi + 0.25, 7.0])))
         assert np.all(rv.theta >= 0)
         assert np.all(rv.theta < 2 * np.pi)
-        assert rv.theta[0] == pytest.approx(3 * np.pi / 2)
-        assert np.allclose(np.abs(rv.phi), 1.0)
-        assert len(rv) == 3
+        assert rv.theta == pytest.approx([3 * np.pi / 2, 0.25, 7.0 - 2 * np.pi])

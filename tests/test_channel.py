@@ -5,9 +5,8 @@ from ris_ssk.channel import (
     ChannelRealization,
     NoiseModel,
     StreamBank,
-    all_effective_gains,
+    cascaded_gains,
     channel_draw_size,
-    effective_gain,
     sample_awgn,
     sample_channel,
     split_channel_draws,
@@ -123,6 +122,18 @@ class TestSampleChannel:
                 f=np.zeros(3, complex),
                 d=np.zeros(3, complex),
             )
+        with pytest.raises(ValueError):
+            ChannelRealization(G=np.zeros(3, complex), f=np.zeros(3, complex))
+        with pytest.raises(ValueError):
+            ChannelRealization(G=np.zeros((5, 3, 2), complex), f=np.zeros((4, 3), complex))
+
+    def test_leading_trial_axes(self):
+        ch = ChannelRealization(
+            G=np.zeros((5, 3, 2), complex), f=np.zeros((5, 3), complex), d=np.zeros((5, 2), complex)
+        )
+        assert (ch.n, ch.nt) == (3, 2)
+        with pytest.raises(ValueError):
+            ChannelRealization(G=ch.G, f=ch.f, d=np.zeros((4, 2), complex))
 
 
 class TestNoise:
@@ -157,15 +168,21 @@ class TestNoise:
             NoiseModel.from_rho(0.0)
 
 
+def _gain(ch, phi, l):
+    return complex(cascaded_gains(ch.G, ch.f, phi)[0, l])
+
+
 class TestEffectiveGain:
+    """cascaded_gains: the cascade sum_i f_i g_il c_i of every antenna."""
+
     def test_identity_reflection_sums_column(self):
         ch = sample_channel(6, 2, substream(9, 0))
-        got = effective_gain(ch, np.ones(6, complex), 0)
+        got = _gain(ch, np.ones(6, complex), 0)
         assert got == pytest.approx(np.sum(ch.f * ch.G[:, 0]))
 
     def test_phase_cancellation(self):
         ch = ChannelRealization(G=np.array([[1j]]), f=np.array([1.0 + 0j]))
-        got = effective_gain(ch, np.exp(1j * np.array([-np.pi / 2])), 0)
+        got = _gain(ch, np.exp(1j * np.array([-np.pi / 2])), 0)
         assert got == pytest.approx(1.0)
 
     def test_matches_direct_summation_oracle(self):
@@ -175,7 +192,7 @@ class TestEffectiveGain:
         phi = np.exp(1j * theta)
         for l in (0, 1, 2):
             oracle = sum(ch.f[i] * ch.G[i, l] * np.exp(1j * theta[i]) for i in range(8))
-            got = effective_gain(ch, phi, l)
+            got = _gain(ch, phi, l)
             assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
     def test_linear_in_f_and_column(self):
@@ -185,28 +202,31 @@ class TestEffectiveGain:
         phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         # superposition on f with shared G
         mixed = ChannelRealization(G=ch1.G, f=ch1.f + 2.0 * ch2.f)
-        want = effective_gain(ch1, phi, 0) + 2.0 * effective_gain(
-            ChannelRealization(G=ch1.G, f=ch2.f), phi, 0
-        )
-        assert effective_gain(mixed, phi, 0) == pytest.approx(want)
+        want = _gain(ch1, phi, 0) + 2.0 * _gain(ChannelRealization(G=ch1.G, f=ch2.f), phi, 0)
+        assert _gain(mixed, phi, 0) == pytest.approx(want)
         # superposition on the active column with shared f
         mixed_g = ChannelRealization(G=ch1.G + 3.0 * ch2.G, f=ch1.f)
-        want_g = effective_gain(ch1, phi, 1) + 3.0 * effective_gain(
-            ChannelRealization(G=ch2.G, f=ch1.f), phi, 1
-        )
-        assert effective_gain(mixed_g, phi, 1) == pytest.approx(want_g)
+        want_g = _gain(ch1, phi, 1) + 3.0 * _gain(ChannelRealization(G=ch2.G, f=ch1.f), phi, 1)
+        assert _gain(mixed_g, phi, 1) == pytest.approx(want_g)
 
     def test_index_and_shape_errors(self):
+        # the element count must match; an antenna index is checked where a
+        # symbol is sent (pb_link.transmit_pb)
         ch = sample_channel(4, 2, substream(0, 1))
-        for l in (-1, 2):
-            with pytest.raises(IndexError):
-                effective_gain(ch, np.ones(4, complex), l)
         with pytest.raises(ValueError):
-            effective_gain(ch, np.ones(5, complex), 0)
+            cascaded_gains(ch.G, ch.f, np.ones(5, complex))
+        assert cascaded_gains(ch.G, ch.f, np.ones(4, complex)).shape == (1, 2)
 
     def test_all_gains_consistent(self):
-        ch = sample_channel(5, 4, substream(13, 0))
-        phi = np.exp(1j * substream(13, 1).uniform(0, 2 * np.pi, 5))
-        gains = all_effective_gains(ch, phi)
-        for l in range(4):
-            assert gains[l] == pytest.approx(effective_gain(ch, phi, l))
+        # rows of coefficients and a leading trial axis agree with one call each
+        chs = [sample_channel(5, 4, substream(13, t)) for t in range(3)]
+        phi = np.exp(1j * substream(13, 9).uniform(0, 2 * np.pi, (3, 2, 5)))
+        G, f = np.stack([c.G for c in chs]), np.stack([c.f for c in chs])
+        gains = cascaded_gains(G, f, phi)
+        assert gains.shape == (3, 2, 4)
+        for t, ch in enumerate(chs):
+            rows = cascaded_gains(ch.G, ch.f, phi[t])
+            for k in range(2):
+                for l in range(4):
+                    assert gains[t, k, l] == pytest.approx(_gain(ch, phi[t, k], l))
+                    assert rows[k, l] == pytest.approx(_gain(ch, phi[t, k], l))

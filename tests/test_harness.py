@@ -1,11 +1,12 @@
+import itertools
 import json
 import math
 import tracemalloc
 
 import pytest
 
-from ris_ssk import analysis, astbc_link, cli, harness
-from ris_ssk.channel import NoiseModel, StreamBank, sample_channel
+from ris_ssk import analysis, astbc_link, beamform, cli, harness
+from ris_ssk.channel import NoiseModel, StreamBank, sample_awgn, sample_channel, substream
 from ris_ssk.harness import (
     BerRecord,
     CheckResult,
@@ -60,6 +61,10 @@ class TestConfigValidation:
             dict(snr_db_grid=(math.nan,)),
             dict(snr_db_grid=(-math.inf,)),
             dict(snr_db_grid=(-10.0, math.nan)),
+            dict(scheme="pb", m=4),
+            dict(scheme="pb-sdr", nt=4, m=2),
+            dict(scheme="pb", sdr=beamform.SdrOptions(rounding_count=5)),
+            dict(scheme="astbc-fast", m=2, sdr=beamform.SdrOptions()),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -186,19 +191,25 @@ class TestCodedKernel:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(scheme="astbc-optimal", nt=4, m=4), dict(scheme="astbc-fast", nt=4, m=4), dict(scheme="pb", nt=2)],
+        [
+            dict(scheme="astbc-optimal", nt=4, m=4),
+            dict(scheme="astbc-fast", nt=4, m=4),
+            dict(scheme="pb", nt=2),
+            dict(scheme="pb-lowcomplexity", nt=8),
+            dict(scheme="intelligent-ris-ssk", nt=4),
+            dict(scheme="traditional-ssk", nt=4),
+        ],
     )
     def test_counts_do_not_depend_on_chunk_size(self, kw, monkeypatch):
         cfg = _cfg(n=16, seed=62, **kw)
-        coded = cfg.m is not None
-        per_trial = harness._coded_trial_elements(cfg) if coded else 1  # pb: one index per trial
+        chunks = harness._coded_chunks if cfg.m is not None else harness._pb_chunks
+        per_trial = harness._trial_elements(cfg)
         counts = []
         for trials in (1, 7, harness._CHUNK_ELEMENTS // per_trial):
             monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", trials * per_trial)
-            if coded:
-                noise = NoiseModel.from_snr_db(-4.0)
-                sizes = [len(s) for s, _ in harness._coded_chunks(cfg, noise, 5, 300)]
-                assert sizes[:-1] == [min(trials, 300)] * (len(sizes) - 1) and sum(sizes) == 300
+            noise = NoiseModel.from_snr_db(-4.0)
+            sizes = [len(s) for s, _ in chunks(cfg, noise, 5, 300)]
+            assert sizes[:-1] == [min(trials, 300)] * (len(sizes) - 1) and sum(sizes) == 300
             counts.append(harness._count_trials(cfg, -4.0, 5, 300))
         assert counts[0] == counts[1] == counts[2]
 
@@ -214,24 +225,114 @@ class TestCodedKernel:
             (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(8, None), (3, None)]),
             (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(468, None), (195, None)]),
             (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1104, None), (700, None)]),
+            (dict(scheme="pb-lowcomplexity", nt=8, snr_db_grid=(-4.0, 0.0), seed=46), [(1030, None), (427, None)]),
+            (dict(scheme="intelligent-ris-ssk", nt=8, snr_db_grid=(-6.0, -2.0), seed=47), [(430, None), (183, None)]),
+            (dict(scheme="traditional-ssk", nt=8, snr_db_grid=(5.0, 10.0), seed=48), [(1467, None), (773, None)]),
+            (dict(scheme="pb", n=64, snr_db_grid=(-28.0,), trials=5000, seed=50), [(121, None)]),
         ],
     )
     def test_golden_error_counts(self, kw, want):
         # The coded counts were recorded from the per-trial loop that preceded
-        # the chunked kernel, the pb-branch counts while that branch still
-        # shifted its antenna indices to 1-based and back.
+        # the chunked kernel, the pb-branch counts from the per-trial loop that
+        # preceded the beamformed kernel (the first seven while that loop still
+        # shifted its antenna indices to 1-based and back).  The N=64 pb point
+        # spans ten chunks.
         records = run_ber_sweep(_cfg(**{"trials": 2000, **kw}))
         assert [(r.source_errors, r.ris_errors) for r in records] == want
 
+    def test_golden_early_stop(self):
+        # Recorded from the per-trial loop: three stop-check intervals, two workers.
+        cfg = _cfg(scheme="traditional-ssk", nt=4, snr_db_grid=(-3.0,), trials=100_000,
+                   target_errors=20_000, seed=51, workers=2)
+        (r,) = run_ber_sweep(cfg)
+        assert (r.trials, r.source_errors) == (30_000, 20_529)
+
     def test_chunk_budget_bounds_memory(self):
-        cfg = _cfg(scheme="astbc-optimal", n=64, nt=8, m=32, snr_db_grid=(0.0,), trials=2000)
-        tracemalloc.start()
-        try:
-            run_ber_sweep(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for cfg in (
+            _cfg(scheme="astbc-optimal", n=64, nt=8, m=32, snr_db_grid=(0.0,), trials=2000),
+            _cfg(scheme="pb-lowcomplexity", n=64, nt=8, snr_db_grid=(0.0,), trials=1000),
+            _cfg(scheme="intelligent-ris-ssk", n=64, nt=8, snr_db_grid=(0.0,), trials=2000),
+        ):
+            tracemalloc.start()
+            try:
+                run_ber_sweep(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, cfg.scheme
+
+
+def _zero_link_on_call(at):
+    """sample_channel that returns a link with f = 0 and d = 0 on its call
+    number ``at``: every gain of that trial is zero."""
+    calls = itertools.count()
+
+    def sample(n, nt, rng, with_direct=False):
+        ch = sample_channel(n, nt, rng, with_direct=with_direct)
+        if next(calls) == at:
+            ch.f[:] = 0
+            if ch.d is not None:
+                ch.d[:] = 0
+        return ch
+
+    return sample
+
+
+def _pb_reference(cfg, snr_db, start, count, sample):
+    """Per-trial (sent, detected) from a plain scalar loop over the one-trial
+    beamformers: gains summed element by element, nearest gain by ``min``."""
+    noise = NoiseModel.from_snr_db(snr_db)
+    beamformers = {"pb": beamform.optimal_two_tx, "pb-lowcomplexity": beamform.low_complexity_beamform}
+    out = []
+    for k in range(start, start + count):
+        ch = sample(cfg.n, cfg.nt, substream(cfg.seed, k, "channel"), cfg.scheme == "traditional-ssk")
+        rng = substream(cfg.seed, k, "data")
+        l = int(rng.integers(0, cfg.nt))
+        if cfg.scheme == "traditional-ssk":
+            gains = list(ch.d)
+        else:
+            if cfg.scheme == "intelligent-ris-ssk":
+                phi = beamform.intelligent_ris_phases(ch)[l]
+            elif cfg.scheme == "pb-sdr":
+                phi = beamform.sdr_beamform(ch, cfg.sdr, substream(cfg.seed, k, "sdr")).phi
+            else:
+                phi = beamformers[cfg.scheme](ch)
+            gains = [sum(ch.f[i] * ch.G[i, a] * phi[i] for i in range(cfg.n)) for a in range(cfg.nt)]
+        y = gains[l] + sample_awgn(noise, rng)
+        out.append((l, min(range(cfg.nt), key=lambda a: abs(y - gains[a]))))
+    return out
+
+
+class TestPbKernel:
+    @pytest.mark.parametrize(
+        "scheme, nt",
+        [("pb", 2)]
+        + [(s, nt) for s in ("pb-lowcomplexity", "intelligent-ris-ssk", "traditional-ssk", "pb-sdr") for nt in (2, 4, 8)],
+    )
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_decisions_equal_scalar_reference(self, scheme, nt, finite, monkeypatch):
+        sdr = scheme == "pb-sdr"
+        cfg = _cfg(scheme=scheme, n=4 if sdr else 8, nt=nt, seed=63,
+                   sdr=beamform.SdrOptions(rounding_count=8) if sdr else None)
+        count, zero_at = (9, 4) if sdr else (60, 17)
+        snr_db = ({"traditional-ssk": 0.0, "pb-sdr": -10.0}.get(scheme, -12.0)) if finite else math.inf
+        want = _pb_reference(cfg, snr_db, 900, count, _zero_link_on_call(zero_at))
+        # chunks of 7 trials: several full chunks and a partial last one
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * harness._trial_elements(cfg))
+        monkeypatch.setattr(harness, "sample_channel", _zero_link_on_call(zero_at))
+        noise = NoiseModel.from_snr_db(snr_db)
+        got = [
+            (int(s), int(d))
+            for sent, detected in harness._pb_chunks(cfg, noise, 900, count)
+            for s, d in zip(sent[:, 0], detected[:, 0])
+        ]
+        assert got == want
+        assert want[zero_at][1] == 0  # all gains zero: the tie goes to antenna 0
+        rest = want[:zero_at] + want[zero_at + 1 :]
+        if finite:
+            assert any(s != d for s, d in rest)
+        else:
+            assert all(s == d for s, d in rest)
 
 
 class TestAnalyticSweep:
@@ -380,6 +481,20 @@ class TestBinomialConfidence:
         lo, hi = binomial_confidence(0, 1000)
         assert lo == 0.0 and hi > 0.0
 
+    @pytest.mark.parametrize("trials", [1, 2, 10, 100, 1000, 10**6])
+    def test_ends_are_exact(self, trials):
+        assert binomial_confidence(0, trials)[0] == 0.0
+        assert binomial_confidence(trials, trials)[1] == 1.0
+        for errors in sorted({0, 1, trials // 3, trials - 1, trials}):
+            lo, hi = binomial_confidence(errors, trials)
+            assert 0.0 <= lo <= errors / trials <= hi <= 1.0
+            assert lo < hi
+
+    @pytest.mark.parametrize("errors, trials", [(-1, 10), (11, 10), (0, 0)])
+    def test_rejects_counts_outside_trials(self, errors, trials):
+        with pytest.raises(ValueError):
+            binomial_confidence(errors, trials)
+
 
 class TestCli:
     def test_snr_grid_parsing(self):
@@ -439,6 +554,47 @@ class TestCli:
         assert cli.main(["optimize", "--method", "sdr", "--n", "4", "--nt", "4"]) == 0
         out = capsys.readouterr().out
         assert "relaxation_objective" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--scheme pb-lowcomplexity --n 8 --nt 4 --snr=-10 --trials 200 --seed 0",
+            "--scheme traditional-ssk --n 4 --nt 8 --snr=-30 --trials 200 --seed 0",
+        ],
+    )
+    def test_printed_interval_is_over_bits(self, argv, tmp_path, capsys):
+        # more bit errors than trials at Nt=8: the interval must still be computed
+        out = tmp_path / "ci.csv"
+        assert cli.main(["sweep", *argv.split(), "--out", str(out)]) == 0
+        (r,) = read_csv(out)
+        text = capsys.readouterr().out
+        lo, hi = (float(v) for v in text.split("ci3s=[")[1].split("]")[0].split(","))
+        assert lo < r.ber_source < hi
+        bits = r.trials * int(math.log2(r.nt))
+        assert (lo, hi) == pytest.approx(binomial_confidence(r.source_errors, bits), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "--m 3 --rounding-count -5",
+            "--m 4",
+            "--rounding-count 5",
+            "--rounding-count -5",
+        ],
+    )
+    def test_inapplicable_or_invalid_settings_exit_code(self, extra, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scheme", "pb", "--n", "8", "--nt", "2", "--snr", "0", "--trials", "10",
+                "--seed", "0", "--out", str(out), *extra.split()]
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pb_sdr_rounding_count_is_checked(self, capsys):
+        base = ["sweep", "--scheme", "pb-sdr", "--n", "4", "--nt", "4", "--snr", "0", "--trials", "1", "--seed", "0"]
+        assert cli.main(base + ["--rounding-count", "0"]) == 2
+        assert cli.main(base + ["--m", "2"]) == 2
+        assert cli.main(base + ["--rounding-count", "3"]) == 0
 
     def test_bad_scheme_exit_code(self):
         assert cli.main(["sweep", "--scheme", "pb", "--n", "8", "--nt", "4",

@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 
 from ris_ssk.analysis import q_exact
-from ris_ssk.beamform import ReflectionVector, min_pairwise_distance
+from ris_ssk.beamform import min_pairwise_distance
 from ris_ssk.channel import (
     ChannelRealization,
     NoiseModel,
     StreamBank,
-    all_effective_gains,
-    effective_gain,
+    cascaded_gains,
     sample_channel,
     substream,
 )
-from ris_ssk.pb_link import (
-    detect_pb_ml,
-    label_bit_errors,
-    transmit_detect_traditional_ssk,
-    transmit_pb,
-)
+from ris_ssk.pb_link import detect_pb_ml, label_bit_errors, transmit_pb
+
+
+def _random_gains(seed, n, nt, stream="oracle"):
+    """A channel, random unit-modulus coefficients and their gain vector (Nt,)."""
+    rng = substream(seed, 0, stream)
+    ch = sample_channel(n, nt, rng)
+    phi = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return ch, phi, cascaded_gains(ch.G, ch.f, phi)[0]
 
 
 class TestSskMapping:
@@ -29,20 +31,19 @@ class TestSskMapping:
     def test_round_trip_exhaustive(self):
         # every antenna index survives a noiseless pass through the link
         for nt in (2, 4, 8):
-            ch = sample_channel(8, nt, substream(20, nt))
-            rv = ReflectionVector(substream(20, nt, "oracle").uniform(0, 2 * np.pi, 8))
+            _, _, gains = _random_gains(20, 8, nt)
             for l in range(nt):
-                y = transmit_pb(ch, rv, l, NoiseModel(0.0), substream(20, l, "data"))
-                assert detect_pb_ml(y, ch, rv) == l
+                y = transmit_pb(gains, l, NoiseModel(0.0), substream(20, l, "data"))
+                assert detect_pb_ml(y, gains) == l
 
     def test_rejects_bad_bits(self):
-        # a symbol is an antenna index in 0..nt-1; anything else is rejected
+        # a symbol is an antenna index in 0..nt-1; anything else is rejected,
+        # on the reflected link and on the direct links alike
         ch = sample_channel(4, 4, substream(21, 0), with_direct=True)
-        for l in (-1, 4):
-            with pytest.raises(IndexError):
-                transmit_pb(ch, np.ones(4, complex), l, NoiseModel(0.0), substream(21, 1, "data"))
-            with pytest.raises(IndexError):
-                transmit_detect_traditional_ssk(ch, l, NoiseModel(0.0), substream(21, 1, "data"))
+        for gains in (cascaded_gains(ch.G, ch.f, np.ones(4, complex))[0], ch.d):
+            for l in (-1, 4):
+                with pytest.raises(IndexError):
+                    transmit_pb(gains, l, NoiseModel(0.0), substream(21, 1, "data"))
 
     def test_label_bit_errors_is_hamming_distance(self):
         assert label_bit_errors(0, 0) == 0
@@ -58,103 +59,94 @@ class TestSskMapping:
 
 class TestTransmitPb:
     def test_noiseless_equals_gain(self):
-        ch = sample_channel(8, 2, substream(1, 0))
-        rv = ReflectionVector(substream(1, 1).uniform(0, 2 * np.pi, 8))
-        y = transmit_pb(ch, rv, 1, NoiseModel(0.0), substream(1, 2, "data"))
-        assert y == pytest.approx(effective_gain(ch, rv, 1))
+        _, _, gains = _random_gains(1, 8, 2)
+        y = transmit_pb(gains, 1, NoiseModel(0.0), substream(1, 2, "data"))
+        assert y == gains[1]
 
     def test_reproducible_given_stream(self):
-        ch = sample_channel(8, 2, substream(2, 0))
-        rv = ReflectionVector(np.zeros(8))
-        args = (ch, rv, 0, NoiseModel(0.5))
+        _, _, gains = _random_gains(2, 8, 2)
+        args = (gains, 0, NoiseModel(0.5))
         assert transmit_pb(*args, substream(2, 5, "data")) == transmit_pb(
             *args, substream(2, 5, "data")
         )
 
     def test_noise_variance_around_gain(self):
-        ch = sample_channel(4, 2, substream(3, 0))
-        rv = ReflectionVector(np.zeros(4))
+        _, _, gains = _random_gains(3, 4, 2)
         noise = NoiseModel(n0=0.25)
-        gain = effective_gain(ch, rv, 0)
         bank = StreamBank(3, "data")
         dev = np.array(
-            [transmit_pb(ch, rv, 0, noise, bank.trial(k)) - gain for k in range(100_000)]
+            [transmit_pb(gains, 0, noise, bank.trial(k)) - gains[0] for k in range(100_000)]
         )
         assert np.mean(np.abs(dev) ** 2) == pytest.approx(0.25, rel=0.02)
 
 
 class TestDetectPbMl:
     def test_noiseless_recovery(self):
-        ch = sample_channel(8, 4, substream(4, 0))
-        rv = ReflectionVector(substream(4, 1).uniform(0, 2 * np.pi, 8))
+        _, _, gains = _random_gains(4, 8, 4)
         for l in range(4):
-            y = effective_gain(ch, rv, l)
-            assert detect_pb_ml(y, ch, rv) == l
+            assert detect_pb_ml(gains[l], gains) == l
+        # over a leading trial axis: every antenna of every trial at once
+        table = np.stack([_random_gains(4, 8, 4, f"s{t}")[2] for t in range(5)])
+        y = np.stack([table[:, l] for l in range(4)], axis=1)  # (5, 4) sent points
+        got = detect_pb_ml(y, table[:, None, :])
+        assert got.tolist() == [list(range(4))] * 5
 
     def test_equidistant_tie_goes_to_lower_index(self):
-        ch = ChannelRealization(G=np.array([[1.0 + 0j, -1.0 + 0j]]), f=np.array([1.0 + 0j]))
-        rv = ReflectionVector(np.zeros(1))
-        # gains are +1 and -1; y = 0 is equidistant
-        assert detect_pb_ml(0j, ch, rv) == 0
+        # gains are +1 and -1; y = 0 is equidistant, in one trial or many
+        assert detect_pb_ml(0j, np.array([1.0 + 0j, -1.0 + 0j])) == 0
+        assert detect_pb_ml(np.zeros(3), np.array([[1, -1], [-1, 1], [0, 0]])).tolist() == [0, 0, 0]
 
     def test_matches_exhaustive_metric_oracle(self):
-        rng = substream(5, 0, "oracle")
-        ch = sample_channel(6, 4, rng)
-        rv = ReflectionVector(rng.uniform(0, 2 * np.pi, 6))
-        gains = all_effective_gains(ch, rv)
+        _, _, gains = _random_gains(5, 6, 4)
         noise = NoiseModel.from_snr_db(0.0)
         bank = StreamBank(5, "data")
+        ys, wants = [], []
         for k in range(1000):
             g = bank.trial(k)
             l = int(g.integers(0, 4))
             z = g.standard_normal(2)
             y = gains[l] + complex(z[0], z[1]) * np.sqrt(noise.n0 / 2)
             want = int(np.argmin([abs(y - gains[i]) ** 2 for i in range(4)]))
-            assert detect_pb_ml(y, ch, rv) == want
+            assert detect_pb_ml(y, gains) == want
+            ys.append(y)
+            wants.append(want)
+        assert detect_pb_ml(np.array(ys), gains).tolist() == wants
 
     def test_invariant_to_common_gain_offset(self):
         # an extra element with identical row in G shifts every candidate
         # gain by the same constant; decisions must not change
-        rng = substream(6, 0, "oracle")
-        ch = sample_channel(5, 4, rng)
-        rv = ReflectionVector(rng.uniform(0, 2 * np.pi, 5))
+        ch, phi, _ = _random_gains(6, 5, 4)
         offset = 1.7 - 0.4j
         ch_shift = ChannelRealization(
             G=np.vstack([ch.G, np.ones((1, 4), complex)]),
             f=np.concatenate([ch.f, [offset]]),
         )
-        rv_shift = ReflectionVector(np.concatenate([rv.theta, [0.0]]))
+        gains = cascaded_gains(ch.G, ch.f, phi)[0]
+        shifted = cascaded_gains(ch_shift.G, ch_shift.f, np.concatenate([phi, [1.0]]))[0]
         for k in range(200):
             g = substream(6, k, "data")
             y = complex(*g.standard_normal(2))
-            assert detect_pb_ml(y, ch, rv) == detect_pb_ml(y + offset, ch_shift, rv_shift)
+            assert detect_pb_ml(y, gains) == detect_pb_ml(y + offset, shifted)
 
 
 class TestTraditionalSsk:
+    """Direct-link SSK: the same transmit and detection with gains = d."""
+
     def test_noiseless_recovery_and_missing_direct(self):
         ch = sample_channel(1, 4, substream(7, 0), with_direct=True)
         for l in range(4):
-            got = transmit_detect_traditional_ssk(ch, l, NoiseModel(0.0), substream(7, 1, "data"))
-            assert got == l
+            y = transmit_pb(ch.d, l, NoiseModel(0.0), substream(7, 1, "data"))
+            assert detect_pb_ml(y, ch.d) == l
         bare = sample_channel(1, 4, substream(7, 0))
+        assert bare.d is None
         with pytest.raises(ValueError):
-            transmit_detect_traditional_ssk(bare, l, NoiseModel(0.0), substream(7, 2, "data"))
+            ChannelRealization(G=bare.G, f=bare.f, d=np.zeros(3, complex))
 
     def test_tie_goes_to_lower_index(self):
-        ch = ChannelRealization(
-            G=np.zeros((1, 2), complex),
-            f=np.zeros(1, complex),
-            d=np.array([1.0 + 0j, -1.0 + 0j]),
-        )
-        # noiseless y = -1... move to symmetric point via zero-noise trick:
-        # craft d with equal distances from y by using y = d_2 and d = [d_2, d_2]
-        ch_eq = ChannelRealization(
-            G=np.zeros((1, 2), complex),
-            f=np.zeros(1, complex),
-            d=np.array([0.5 + 0j, 0.5 + 0j]),
-        )
-        got = transmit_detect_traditional_ssk(ch_eq, 1, NoiseModel(0.0), substream(8, 0, "data"))
-        assert got == 0
+        # two antennas with identical direct links are equidistant from any y
+        d = np.array([0.5 + 0j, 0.5 + 0j])
+        y = transmit_pb(d, 1, NoiseModel(0.0), substream(8, 0, "data"))
+        assert detect_pb_ml(y, d) == 0
 
     def test_high_snr_ber_below_1e3(self):
         noise = NoiseModel.from_snr_db(40.0)
@@ -166,7 +158,7 @@ class TestTraditionalSsk:
             ch = sample_channel(1, 2, ch_bank.trial(k), with_direct=True)
             g = data_bank.trial(k)
             l = int(g.integers(0, 2))
-            errs += transmit_detect_traditional_ssk(ch, l, noise, g) != l
+            errs += detect_pb_ml(transmit_pb(ch.d, l, noise, g), ch.d) != l
         assert errs / trials < 1e-3
 
 
@@ -174,9 +166,7 @@ class TestPairwiseErrorConsistency:
     def test_conditional_pep_matches_q_formula(self):
         # fixed channel and phases, two antennas: empirical pairwise error
         # rate over noise draws must match Q(sqrt(rho * d^2 / 2))
-        ch = sample_channel(8, 2, substream(10, 0))
-        rv = ReflectionVector(substream(10, 1).uniform(0, 2 * np.pi, 8))
-        gains = all_effective_gains(ch, rv)
+        _, _, gains = _random_gains(10, 8, 2)
         d2 = abs(gains[0] - gains[1]) ** 2
         rho = 4.0 / d2  # operating point with comfortably measurable PEP
         noise = NoiseModel.from_rho(rho)
@@ -185,8 +175,8 @@ class TestPairwiseErrorConsistency:
         bank = StreamBank(10, "data")
         errs = 0
         for k in range(trials):
-            y = transmit_pb(ch, rv, 0, noise, bank.trial(k))
-            errs += detect_pb_ml(y, ch, rv) != 0
+            y = transmit_pb(gains, 0, noise, bank.trial(k))
+            errs += detect_pb_ml(y, gains) != 0
         sigma = np.sqrt(want * (1 - want) / trials)
         assert abs(errs / trials - want) <= 3 * sigma
 
@@ -196,9 +186,9 @@ class TestPairwiseErrorConsistency:
         for trial in range(3):
             rng = substream(11, trial, "oracle")
             ch = sample_channel(6, 4, rng)
-            rv = ReflectionVector(rng.uniform(0, 2 * np.pi, 6))
-            gains = all_effective_gains(ch, rv)
-            dmin = min_pairwise_distance(ch, rv)
+            phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+            gains = cascaded_gains(ch.G, ch.f, phi)[0]
+            dmin = min_pairwise_distance(ch, phi)
             rho = 2.0 / dmin
             noise = NoiseModel.from_rho(rho)
             bound = 0.0
@@ -212,7 +202,7 @@ class TestPairwiseErrorConsistency:
             for k in range(trials):
                 g = bank.trial(k)
                 l = int(g.integers(0, 4))
-                y = transmit_pb(ch, rv, l, noise, g)
-                errs += detect_pb_ml(y, ch, rv) != l
+                y = transmit_pb(gains, l, noise, g)
+                errs += detect_pb_ml(y, gains) != l
             p = errs / trials
             assert p <= min(bound, 1.0) + 3 * np.sqrt(max(p, 1e-6) * (1 - p) / trials)
