@@ -3,10 +3,11 @@
 The surface is split into two sub-surfaces of N/2 elements.  Their common
 phase offsets over two time slots form an orthogonal 2x2 code carrying two
 PSK symbols of surface-originated data, while the source keeps signalling
-its antenna index.  Both the exhaustive joint detector and the combining
-based fast detector are provided; the fast antenna metric is the true
-per-antenna ML cost scaled by that antenna's channel gain, so the two can
-disagree (measured, not assumed, by the validation suite).
+its antenna index.  Both the exhaustive joint ML detector and the
+combining-based fast detector are provided; because the code is
+orthogonal, the fast detector's per-antenna metric is the exact ML cost
+(less a constant), found with 2M phase correlations instead of M^2
+hypotheses.
 """
 
 from __future__ import annotations
@@ -91,23 +92,28 @@ def detect_ml(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def fast_metrics(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combining metric D and inner phase decisions k1, k2, each (..., Nt).
+    """Per-antenna ML cost D less |y1|^2 + |y2|^2, and the inner phase
+    decisions k1, k2 that attain it, each (..., Nt).
 
-    Per antenna, combines the two slots and searches each PSK alphabet
-    separately (2M metric evaluations instead of M^2).  A zero-gain antenna
-    degenerates to D = |r1|^2 + |r2|^2.
+    Since C^H C = 2I, ||y - C h_l||^2 = |y1|^2 + |y2|^2 + 2 g_l
+    - 2 Re(conj(a1) r1_l) - 2 Re(conj(a2) r2_l), with g_l = |h1_l|^2 + |h2_l|^2
+    and r1, r2 from :func:`combine`; the two phase terms separate, so each
+    PSK alphabet is searched on its own (2M correlations instead of M^2
+    hypotheses).  A zero-gain antenna gets D = 0, its exact ML cost less
+    the constant.
     """
-    psk = psk_symbols(m)
+    psk_conj = psk_symbols(m).conj()
     r1, r2 = combine(np.asarray(y1)[..., None], np.asarray(y2)[..., None], h1, h2)
-    gain = (np.abs(h1) ** 2 + np.abs(h2) ** 2)[..., None]
-    d1 = np.abs(r1[..., None] - gain * psk) ** 2
-    d2 = np.abs(r2[..., None] - gain * psk) ** 2
-    return d1.min(axis=-1) + d2.min(axis=-1), d1.argmin(axis=-1), d2.argmin(axis=-1)
+    c1 = (r1[..., None] * psk_conj).real
+    c2 = (r2[..., None] * psk_conj).real
+    gain = np.abs(h1) ** 2 + np.abs(h2) ** 2
+    D = 2.0 * (gain - c1.max(axis=-1) - c2.max(axis=-1))
+    return D, c1.argmax(axis=-1), c2.argmax(axis=-1)
 
 
 def detect_fast(y1, y2, h1, h2, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based (l, k1, k2): argmin of the combining metric (lowest antenna on
-    ties), then the two inner phase decisions at that antenna."""
+    """0-based (l, k1, k2): argmin of the per-antenna ML cost (lowest antenna
+    on ties), then the two inner phase decisions at that antenna."""
     D, k1, k2 = fast_metrics(y1, y2, h1, h2, m)
     l0 = D.argmin(axis=-1)[..., None]
     return l0[..., 0], np.take_along_axis(k1, l0, -1)[..., 0], np.take_along_axis(k2, l0, -1)[..., 0]

@@ -150,8 +150,9 @@ def _cmd_optimize(args) -> int:
     g = getattr(rv, "diagnostics", None)
     if g is not None:
         print(
-            f"solver: iterations={g.iterations} converged={g.converged} "
-            f"relaxation_objective={g.relaxation_objective:.6f} "
+            f"solver: iterations={g.iterations} (relaxation steps summed over restarts, "
+            f"polish not counted) converged={g.converged} (best restart left the last "
+            f"stage by tolerance) relaxation_objective={g.relaxation_objective:.6f} "
             f"candidate_index={g.candidate_index}"
         )
     return 0

@@ -3,16 +3,25 @@ import pytest
 
 from ris_ssk.astbc_link import (
     code_matrix,
+    coded_slots,
     combine,
     detect_fast,
     detect_ml,
     fast_metrics,
     ml_costs,
     psk_phases,
+    psk_symbols,
     sub_surface_sums,
     transmit_astbc,
 )
-from ris_ssk.channel import NoiseModel, StreamBank, sample_channel, substream
+from ris_ssk.channel import (
+    NoiseModel,
+    StreamBank,
+    channel_draw_size,
+    sample_channel,
+    split_channel_draws,
+    substream,
+)
 from ris_ssk.harness import _bits_per_trial
 
 
@@ -176,7 +185,8 @@ class TestFastDetector:
             y1, y2 = transmit_astbc(ch, l, 3, 5, 8, NoiseModel(0.0), substream(11, 1, "data"))
             assert _detect(detect_fast, y1, y2, ch, 8) == (l, 3, 5)
             D, _, _ = fast_metrics(y1, y2, *_sums(ch), 8)
-            assert D[l] == pytest.approx(0.0, abs=1e-18)
+            # the sent hypothesis has zero residual: D = 0 - |y1|^2 - |y2|^2
+            assert D[l] == pytest.approx(-(abs(y1) ** 2 + abs(y2) ** 2), rel=1e-12)
 
     def test_inner_decisions_match_exhaustive_search(self):
         noise = NoiseModel.from_snr_db(3.0)
@@ -192,8 +202,8 @@ class TestFastDetector:
                 j1, j2 = np.unravel_index(np.argmin(cost[l0]), (8, 8))
                 assert (i1[l0], i2[l0]) == (j1, j2)
 
-    def test_fast_metric_is_gain_scaled_ml_cost(self):
-        # D(l) = gain_l * min_{a1,a2} ||y - C h_l||^2, verified numerically
+    def test_fast_metric_is_ml_cost_less_received_energy(self):
+        # D(l) = min_{a1,a2} ||y - C h_l||^2 - |y1|^2 - |y2|^2, verified numerically
         noise = NoiseModel.from_snr_db(0.0)
         for trial in range(100):
             ch = sample_channel(8, 4, substream(13, trial))
@@ -203,10 +213,34 @@ class TestFastDetector:
             h1, h2 = _sums(ch)
             D, _, _ = fast_metrics(y1, y2, h1, h2, 4)
             cost = ml_costs(y1, y2, h1, h2, 4)
-            gains = np.abs(h1) ** 2 + np.abs(h2) ** 2
+            energy = abs(y1) ** 2 + abs(y2) ** 2
             for l0 in range(4):
-                want = gains[l0] * cost[l0].min()
-                assert D[l0] == pytest.approx(want, rel=1e-9)
+                assert D[l0] + energy == pytest.approx(cost[l0].min(), rel=1e-9)
+
+    @pytest.mark.parametrize("nt", [2, 4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_decisions_equal_ml_detector(self, nt, m):
+        # 4 SNRs x 3000 frames per (nt, m): 108 000 frames over the grid.
+        # Antenna 1 is dead (zero gain) in every other frame and is sent
+        # in some of them, so both detectors meet the degenerate metric.
+        frames, n = 3000, 8
+        rng = substream(18, nt * 16 + m, "oracle")
+        for snr_db in (-5.0, 0.0, 10.0, np.inf):
+            z = rng.standard_normal((frames, channel_draw_size(n, nt)))
+            G, f, _ = split_channel_draws(z, n, nt)
+            G[::2, :, 1] = 0
+            h1, h2 = sub_surface_sums(G, f)
+            l, k1, k2 = rng.integers(0, [nt, m, m], size=(frames, 3)).T
+            psk = psk_symbols(m)
+            rows = np.arange(frames)
+            y1, y2 = coded_slots(h1[rows, l], h2[rows, l], psk[k1], psk[k2])
+            if np.isfinite(snr_db):
+                w = rng.standard_normal((frames, 4)).view(complex)
+                w *= np.sqrt(NoiseModel.from_snr_db(snr_db).n0 / 2)
+                y1, y2 = y1 + w[:, 0], y2 + w[:, 1]
+            fast = np.stack(detect_fast(y1, y2, h1, h2, m))
+            ml = np.stack(detect_ml(y1, y2, h1, h2, m))
+            assert np.array_equal(fast, ml)
 
     def test_zero_gain_degenerate_metric(self):
         ch = sample_channel(4, 2, substream(14, 0))
@@ -216,9 +250,10 @@ class TestFastDetector:
         assert abs(h1[1]) ** 2 + abs(h2[1]) ** 2 == 0.0
         r1, r2 = combine(y1, y2, h1[1], h2[1])
         D, _, _ = fast_metrics(y1, y2, h1, h2, 2)
-        # combining through a dead antenna collapses to zero, so the
-        # degenerate metric |r1|^2 + |r2|^2 is still well defined
-        assert D[1] == pytest.approx(abs(r1) ** 2 + abs(r2) ** 2)
+        # combining through a dead antenna collapses to zero, and its ML
+        # cost is |y1|^2 + |y2|^2 for every phase pair, so D = 0 exactly
+        assert r1 == r2 == 0
+        assert D[1] == 0.0
         lhat, k1, k2 = _detect(detect_fast, y1, y2, ch, 2)
         assert lhat in (0, 1) and k1 in (0, 1) and k2 in (0, 1)
 
