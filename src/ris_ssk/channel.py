@@ -9,6 +9,7 @@ processes.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ def _purpose_code(purpose: str | int) -> int:
 
 
 def _philox_key(seed: int, trial: int, purpose: str | int) -> np.ndarray:
+    seed, trial = operator.index(seed), operator.index(trial)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if not 0 <= trial < _TRIAL_LIMIT:
@@ -92,11 +94,49 @@ class StreamBank:
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
+        trial = operator.index(trial)
         if not 0 <= trial < _TRIAL_LIMIT:
             raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
-        self._key[1] = (int(trial) << 16) | self._purpose
+        self._key[1] = (trial << 16) | self._purpose
         self._bg.state = self._state
         return self._gen
+
+
+def _index_shift(bound) -> int:
+    bound = operator.index(bound)
+    if not 2 <= bound <= 1 << 32 or bound & (bound - 1):
+        raise ValueError(f"index bounds must be powers of two in [2, 2^32], got {bound}")
+    return 33 - bound.bit_length()
+
+
+def raw_indices(words, bounds):
+    """The 0-based indices ``Generator.integers(0, bounds)`` returns, read
+    from the raw 64-bit words (``bit_generator.random_raw``) of the same
+    stream.
+
+    For a power-of-two bound 2^b, numpy's bounded-integer method (Lemire's
+    multiply-shift) never rejects a draw, so each index is the top b bits of
+    the stream's next 32-bit half, halves taken low half first.
+
+    A scalar bound takes one word, the int ``random_raw()`` returns, and
+    gives an int index from its low half.  A sequence of K bounds reads
+    halves 0..K-1 of the last axis of ``words``, a uint64 array
+    (..., ceil(K/2)), and returns int64 (..., K).  Either way the words
+    advance the stream exactly as far as ``integers`` would; the unused
+    high half that numpy would cache is read by no double or normal draw.
+    Raises ValueError for a bound that is not a power of two in [2, 2^32]
+    (a bound of 1 draws nothing in numpy).
+    """
+    if isinstance(bounds, (int, np.integer)):
+        return (words & 0xFFFFFFFF) >> _index_shift(bounds)
+    shifts = np.array([_index_shift(b) for b in bounds], dtype=np.uint64)
+    k = len(shifts)
+    words = np.asarray(words, dtype=np.uint64)
+    if words.shape[-1:] != ((k + 1) // 2,):
+        raise ValueError(f"{k} indices take {(k + 1) // 2} words, got shape {words.shape}")
+    halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=-1)
+    halves = halves.reshape(*words.shape[:-1], -1)[..., :k]
+    return (halves >> shifts).astype(np.int64)
 
 
 @dataclass(frozen=True)

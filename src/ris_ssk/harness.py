@@ -25,6 +25,7 @@ from .channel import (
     StreamBank,
     cascaded_gains,
     channel_draw_size,
+    raw_indices,
     sample_channel,
     split_channel_draws,
     substream,
@@ -70,8 +71,17 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+def _require_integers(**values) -> None:
+    """Reject settings that are not integers (None passes): a float would
+    otherwise alias an integer stream or fail deep in a kernel."""
+    for name, v in values.items():
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
 def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
     """The scheme and dimension rules that sweeps and theory curves share."""
+    _require_integers(n=n, nt=nt, m=m)
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if n < 1:
@@ -118,6 +128,9 @@ class SimConfig:
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
 
     def validate(self) -> None:
+        _require_integers(
+            trials=self.trials, seed=self.seed, workers=self.workers, target_errors=self.target_errors
+        )
         _check_dimensions(self.scheme, self.n, self.nt, self.m)
         if not self.snr_db_grid:
             raise ConfigError("SNR grid must be nonempty")
@@ -193,9 +206,10 @@ def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     each a (chunk, 3) array of 0-based (antenna, phase 1, phase 2) indices.
 
     Per trial, only the draws run in Python, on the same streams and in the
-    same order as the one-trial API (channel normals; the antenna and phase
-    indices; the two noise samples when n0 > 0).  Transmission and
-    detection then run once over the whole chunk.
+    same order as the one-trial API (channel normals; the two raw words of
+    the antenna and phase indices; the two noise samples when n0 > 0).
+    Index conversion, transmission and detection then run once over the
+    whole chunk.
     """
     n, nt, m = cfg.n, cfg.nt, cfg.m
     ch_bank = StreamBank(cfg.seed, "channel")
@@ -203,29 +217,29 @@ def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
     z = np.empty((chunk, channel_draw_size(n, nt)))
-    sent = np.empty((chunk, 3), dtype=np.int64)
+    words = np.empty((chunk, 2), dtype=np.uint64)
     w = np.empty((chunk, 4))
     noisy = noise.n0 > 0
     scale = math.sqrt(noise.n0 / 2.0)
-    hi = np.array([nt, m, m])
     psk = astbc_link.psk_symbols(m)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
         for t in range(b):
             ch_bank.trial(at + t).standard_normal(out=z[t])
             rng = data_bank.trial(at + t)
-            sent[t] = rng.integers(0, hi)
+            words[t] = rng.bit_generator.random_raw(2)
             if noisy:
                 rng.standard_normal(out=w[t])
+        sent = raw_indices(words[:b], (nt, m, m))
         G, f, _ = split_channel_draws(z[:b], n, nt)
         h1, h2 = astbc_link.sub_surface_sums(G, f)
-        l0, k1, k2 = sent[:b].T
+        l0, k1, k2 = sent.T
         rows = np.arange(b)
         y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
         if noisy:
             wc = (w[:b] * scale).view(np.complex128)
             y1, y2 = y1 + wc[:, 0], y2 + wc[:, 1]
-        yield sent[:b], np.stack(detect(y1, y2, h1, h2, m), axis=-1)
+        yield sent, np.stack(detect(y1, y2, h1, h2, m), axis=-1)
 
 
 def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
@@ -235,9 +249,10 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     Per trial, only the keyed draws run in Python, each on the trial's own
     streams and in a fixed order: the channel (direct links only for
     traditional-ssk), the pb-sdr solve on the trial's sdr stream, then the
-    antenna index and the noise through ``transmit_pb``.  Beamforming,
-    the cascaded-gain table (the gains of all antennas as the receiver sees
-    them while antenna l is active) and the ML decision run once per chunk.
+    antenna index from one raw word and the noise through ``transmit_pb``.
+    Beamforming, the cascaded-gain table (the gains of all antennas as the
+    receiver sees them while antenna l is active) and the ML decision run
+    once per chunk.
     """
     n, nt, scheme = cfg.n, cfg.nt, cfg.scheme
     ch_bank = StreamBank(cfg.seed, "channel")
@@ -277,7 +292,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
                 table = np.broadcast_to(cascaded_gains(chs.G, chs.f, coeff[:b, None]), (b, nt, nt))
         for t in range(b):
             rng = data_bank.trial(at + t)
-            l = rng.integers(0, nt)
+            l = raw_indices(rng.bit_generator.random_raw(), nt)
             sent[t] = l
             y[t] = pb_link.transmit_pb(table[t, l], l, noise, rng)
         gains = table[np.arange(b), sent[:b, 0]]
@@ -614,7 +629,7 @@ def _coded_frames(seed: int, count: int, n: int, nt: int, m: int, noise: NoiseMo
     for t in range(count):
         ch = sample_channel(n, nt, substream(seed, t, "oracle"))
         rng = substream(seed, t, "data")
-        l, k1, k2 = rng.integers(0, [nt, m, m])
+        l, k1, k2 = raw_indices(rng.bit_generator.random_raw(2), (nt, m, m))
         y1, y2 = astbc_link.transmit_astbc(ch, l, k1, k2, m, noise, rng)
         yield y1, y2, *astbc_link.sub_surface_sums(ch.G, ch.f)
 

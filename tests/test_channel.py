@@ -7,6 +7,7 @@ from ris_ssk.channel import (
     StreamBank,
     cascaded_gains,
     channel_draw_size,
+    raw_indices,
     sample_awgn,
     sample_channel,
     split_channel_draws,
@@ -55,6 +56,64 @@ class TestStreams:
             substream(0, 1 << 48)
         with pytest.raises(ValueError):
             StreamBank(0, "channel").trial(-1)
+        # Non-integral seeds and trials raise instead of truncating onto an
+        # integer's stream; numpy integers are still indices.
+        with pytest.raises(TypeError):
+            substream(1.5, 0)
+        with pytest.raises(TypeError):
+            substream(1, 2.0)
+        with pytest.raises(TypeError):
+            StreamBank(2.5, "data")
+        with pytest.raises(TypeError):
+            StreamBank(1, "data").trial(2.7)
+        want = substream(1, 2, "data").standard_normal(4)
+        assert np.array_equal(substream(np.uint64(1), np.int64(2), "data").standard_normal(4), want)
+        assert np.array_equal(StreamBank(np.int32(1), "data").trial(np.int64(2)).standard_normal(4), want)
+
+
+class TestRawIndices:
+    """The stream contract of the sweeps' index draws: ``raw_indices`` on a
+    stream's raw words equals ``Generator.integers`` on the same stream, and
+    leaves the stream where ``integers`` leaves it.  Fails if numpy ever
+    changes its bounded-integer path, before any CSV can drift."""
+
+    KEYS = 10_000
+
+    def _bounds(self, k):
+        return 2 ** (1 + k % 6), 2 ** (1 + (k // 6) % 5)  # Nt in 2..64, M in 2..32
+
+    def test_array_bounds_equal_integers(self):
+        for k in range(self.KEYS):
+            nt, m = self._bounds(k)
+            a, b = substream(11, k, "data"), substream(11, k, "data")
+            want = a.integers(0, [nt, m, m])
+            got = raw_indices(b.bit_generator.random_raw(2), (nt, m, m))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (k, nt, m)
+            assert np.array_equal(b.standard_normal(4), a.standard_normal(4)), k
+
+    def test_scalar_bound_equals_integers(self):
+        for k in range(self.KEYS):
+            nt, _ = self._bounds(k)
+            a, b = substream(12, k, "data"), substream(12, k, "data")
+            want = a.integers(0, nt)
+            assert raw_indices(b.bit_generator.random_raw(), nt) == want, (k, nt)
+            assert np.array_equal(b.standard_normal(4), a.standard_normal(4)), k
+
+    def test_rejects_bounds_that_are_not_powers_of_two(self):
+        words = np.zeros(2, dtype=np.uint64)
+        for bad in (3, 6, 12, 1, 0, -4, 2**33):
+            with pytest.raises(ValueError):
+                raw_indices(words, (2, bad, 2))
+            with pytest.raises(ValueError):
+                raw_indices(0, bad)
+        with pytest.raises(TypeError):
+            raw_indices(0, 4.0)
+
+    def test_rejects_a_word_count_integers_would_not_draw(self):
+        with pytest.raises(ValueError):
+            raw_indices(np.zeros(1, dtype=np.uint64), (2, 2, 2))
+        with pytest.raises(ValueError):
+            raw_indices(np.zeros(3, dtype=np.uint64), (2, 2, 2))
 
 
 class TestSampleChannel:

@@ -65,6 +65,17 @@ class TestConfigValidation:
             dict(scheme="pb-sdr", nt=4, m=2),
             dict(scheme="pb", sdr=beamform.SdrOptions(rounding_count=5)),
             dict(scheme="astbc-fast", m=2, sdr=beamform.SdrOptions()),
+            # Non-integers: a float seed would alias an integer seed's
+            # streams; the others would fail deep in the kernel.
+            dict(seed=2.5),
+            dict(seed=3.0),
+            dict(trials=10.5),
+            dict(n=4.0),
+            dict(nt=2.0),
+            dict(scheme="astbc-fast", m=2.0),
+            dict(workers=1.5),
+            dict(target_errors=3.5),
+            dict(n=True),
         ],
     )
     def test_rejects_invalid(self, kw):
