@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,13 @@ COMBINED_GAIN_PDF = ChiSquarePdfParams(a=0.25, b=0.5)
 
 
 def q_exact(x):
-    """Gaussian tail probability via the complementary error function."""
+    """Gaussian tail probability via the complementary error function.
+
+    scipy is imported here, not at module level, so that sweeps and the
+    closed forms they call never load it.
+    """
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -71,6 +71,9 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+_INT_FIELDS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
+
+
 def _require_integers(**values) -> None:
     """Reject settings that are not integers (None passes): a float would
     otherwise alias an integer stream or fail deep in a kernel."""
@@ -125,7 +128,17 @@ class SimConfig:
     record_wall_time: bool = False
 
     def __post_init__(self):
-        self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
+        # numpy integers would reach the records and break JSON output.
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, np.integer):
+                setattr(self, name, int(v))
+        # A string would sweep its characters and True would sweep 1 dB.
+        grid = self.snr_db_grid
+        points = None if isinstance(grid, (str, bytes)) else tuple(grid)
+        if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
+            raise ConfigError(f"SNR grid must be a sequence of real numbers, got {grid!r}")
+        self.snr_db_grid = tuple(float(s) for s in points)
 
     def validate(self) -> None:
         _require_integers(
@@ -371,6 +384,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     pool = None
     try:
         if cfg.workers > 1:
+            import multiprocessing  # only multi-worker sweeps pay for its import
+
             pool = multiprocessing.Pool(cfg.workers)
         for i, snr_db in enumerate(cfg.snr_db_grid):
             t0 = time.perf_counter() if cfg.record_wall_time else None
@@ -413,6 +428,7 @@ def analytic_sweep(
     ``ber_source`` mirrors the closed form and is None where there is none.
     """
     _check_dimensions(scheme, n, nt, m)
+    n, nt, m = int(n), int(nt), None if m is None else int(m)
     records = []
     for snr_db in snr_db_grid:
         a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
@@ -525,10 +541,10 @@ def read_csv(path) -> list[BerRecord]:
 
 def write_json(records: list[BerRecord], path) -> None:
     """JSON mirror of the records, one object per record."""
+    text = json.dumps([asdict(r) for r in records], indent=1) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump([asdict(r) for r in records], fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 

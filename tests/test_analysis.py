@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erfc
 
 from ris_ssk.analysis import (
     COMBINED_GAIN_PDF,
@@ -34,6 +35,14 @@ class TestQFunctions:
         for x in (0.0, 0.5, 1.0, 2.0, 4.0):
             assert q_exact(x) == pytest.approx(tail(x), abs=1e-12)
         assert q_exact(1.0) == pytest.approx(0.15865525393145707, abs=1e-12)
+
+    def test_q_exact_is_half_erfc_bit_for_bit(self):
+        # q_exact imports erfc lazily; its values must not move by one ulp
+        extremes = [-1e300, -1e-300, 0.0, 1e-300, 38.5, 1e300, np.inf, -np.inf]
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 801), extremes])
+        want = 0.5 * erfc(xs / np.sqrt(2.0))
+        assert np.array_equal(q_exact(xs), want)
+        assert all(q_exact(float(x)) == w for x, w in zip(xs, want))
 
     def test_q_exact_basic_identities(self):
         assert q_exact(0.0) == pytest.approx(0.5)

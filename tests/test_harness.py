@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ris_ssk import analysis, astbc_link, beamform, cli, harness
@@ -81,6 +82,40 @@ class TestConfigValidation:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ConfigError):
             _cfg(**kw).validate()
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["05", "", b"05", (True,), (0.0, np.True_), (1j,), ("5",), (None,)],
+        ids=["str", "empty-str", "bytes", "bool", "numpy-bool", "complex", "str-entry", "none-entry"],
+    )
+    def test_rejects_grid_that_is_not_real_numbers(self, grid):
+        # "05" used to sweep 0 dB and 5 dB, one per character; True swept 1 dB
+        with pytest.raises(ConfigError, match="real numbers"):
+            _cfg(snr_db_grid=grid)
+
+    def test_accepts_numpy_grid(self):
+        cfg = _cfg(snr_db_grid=np.array([-14, -10.5]))
+        assert cfg.snr_db_grid == (-14.0, -10.5)
+        assert all(type(s) is float for s in cfg.snr_db_grid)
+
+    def test_numpy_integer_fields_write_same_bytes(self, tmp_path):
+        kw = dict(scheme="astbc-fast", n=8, nt=4, m=4, trials=60, seed=3, workers=1, target_errors=500)
+        plain = SimConfig(snr_db_grid=(-6.0, 0.0), **kw)
+        numpy_ints = SimConfig(
+            snr_db_grid=(-6.0, 0.0), **{k: v if k == "scheme" else np.int64(v) for k, v in kw.items()}
+        )
+        assert all(type(getattr(numpy_ints, k)) is int for k in kw if k != "scheme")
+        for name, cfg in (("plain", plain), ("numpy", numpy_ints)):
+            records = run_ber_sweep(cfg)
+            write_json(records, tmp_path / f"{name}.json")
+            write_csv(records, tmp_path / f"{name}.csv")
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"plain{suffix}").read_bytes() == (tmp_path / f"numpy{suffix}").read_bytes()
+
+    def test_analytic_sweep_takes_numpy_integers(self, tmp_path):
+        records = analytic_sweep("astbc-fast", np.int64(8), np.int32(2), np.int64(4), (0.0,))
+        write_json(records, tmp_path / "a.json")
+        assert json.loads((tmp_path / "a.json").read_text())[0]["n"] == 8
 
 
 class TestSweep:
