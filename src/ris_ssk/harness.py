@@ -102,6 +102,24 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
         raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
 
 
+def _snr_grid(grid) -> tuple[float, ...]:
+    """The SNR grid rule that sweeps and theory curves share: a nonempty,
+    strictly increasing sequence of real, non-bool numbers above -inf dB
+    (+inf is noiseless), returned as floats."""
+    # A string would sweep its characters and True would sweep 1 dB.
+    points = None if isinstance(grid, (str, bytes)) else tuple(grid)
+    if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
+        raise ConfigError(f"SNR grid must be a sequence of real numbers, got {grid!r}")
+    points = tuple(float(s) for s in points)
+    if not points:
+        raise ConfigError("SNR grid must be nonempty")
+    if any(math.isnan(s) or s == -math.inf for s in points):
+        raise ConfigError("SNR points must be numbers above -inf dB (+inf is noiseless)")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ConfigError("SNR grid must be strictly increasing")
+    return points
+
+
 @dataclass
 class SimConfig:
     """One sweep: a scheme, its dimensions, an SNR grid, and a trial budget.
@@ -133,24 +151,14 @@ class SimConfig:
             v = getattr(self, name)
             if isinstance(v, np.integer):
                 setattr(self, name, int(v))
-        # A string would sweep its characters and True would sweep 1 dB.
-        grid = self.snr_db_grid
-        points = None if isinstance(grid, (str, bytes)) else tuple(grid)
-        if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
-            raise ConfigError(f"SNR grid must be a sequence of real numbers, got {grid!r}")
-        self.snr_db_grid = tuple(float(s) for s in points)
+        self.snr_db_grid = _snr_grid(self.snr_db_grid)
 
     def validate(self) -> None:
         _require_integers(
             trials=self.trials, seed=self.seed, workers=self.workers, target_errors=self.target_errors
         )
         _check_dimensions(self.scheme, self.n, self.nt, self.m)
-        if not self.snr_db_grid:
-            raise ConfigError("SNR grid must be nonempty")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_db_grid):
-            raise ConfigError("SNR points must be numbers above -inf dB (+inf is noiseless)")
-        if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
-            raise ConfigError("SNR grid must be strictly increasing")
+        _snr_grid(self.snr_db_grid)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not 0 <= self.seed < SEED_LIMIT:
@@ -209,7 +217,7 @@ def _trial_elements(cfg: SimConfig) -> int:
         metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
         return max(channel_draw_size(n, nt), metric)
     if cfg.scheme == "traditional-ssk":
-        return nt
+        return channel_draw_size(0, nt, with_direct=True)
     pairs = nt * (nt - 1) // 2 if cfg.scheme == "pb-lowcomplexity" else 0
     return max(max(n, nt) * nt, _CANDIDATE_TEMPORARIES * n * pairs)
 
@@ -260,9 +268,10 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     detected), each a (chunk, 1) array of 0-based antenna indices.
 
     Per trial, only the keyed draws run in Python, each on the trial's own
-    streams and in a fixed order: the channel (direct links only for
-    traditional-ssk), the pb-sdr solve on the trial's sdr stream, then the
-    antenna index from one raw word and the noise through ``transmit_pb``.
+    streams and in a fixed order: the channel (for traditional-ssk only its
+    2·Nt direct-link normals, drawn straight into the chunk array), the
+    pb-sdr solve on the trial's sdr stream, then the antenna index from one
+    raw word and the noise through ``transmit_pb``.
     Beamforming, the cascaded-gain table (the gains of all antennas as the
     receiver sees them while antenna l is active) and the ML decision run
     once per chunk.
@@ -274,7 +283,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     direct = scheme == "traditional-ssk"
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
     if direct:
-        d = np.empty((chunk, nt), dtype=complex)
+        z = np.empty((chunk, channel_draw_size(0, nt, with_direct=True)))
     else:
         G = np.empty((chunk, n, nt), dtype=complex)
         f = np.empty((chunk, n), dtype=complex)
@@ -283,17 +292,17 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     y = np.empty(chunk, dtype=complex)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
-        for t in range(b):
-            ch = sample_channel(n, nt, ch_bank.trial(at + t), with_direct=direct)
-            if direct:
-                d[t] = ch.d
-            else:
+        if direct:
+            for t in range(b):
+                ch_bank.trial(at + t).standard_normal(out=z[t])
+            _, _, d = split_channel_draws(z[:b], 0, nt, with_direct=True)
+            table = np.broadcast_to(d[:, None], (b, nt, nt))
+        else:
+            for t in range(b):
+                ch = sample_channel(n, nt, ch_bank.trial(at + t))
                 G[t], f[t] = ch.G, ch.f
                 if sdr_bank is not None:
                     coeff[t] = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(at + t)).phi
-        if direct:
-            table = np.broadcast_to(d[:b, None], (b, nt, nt))
-        else:
             chs = ChannelRealization(G[:b], f[:b])
             if scheme == "intelligent-ris-ssk":  # realigned to each active antenna
                 table = cascaded_gains(chs.G, chs.f, beamform.intelligent_ris_phases(chs))
@@ -430,7 +439,7 @@ def analytic_sweep(
     _check_dimensions(scheme, n, nt, m)
     n, nt, m = int(n), int(nt), None if m is None else int(m)
     records = []
-    for snr_db in snr_db_grid:
+    for snr_db in _snr_grid(snr_db_grid):
         a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
         records.append(
             BerRecord(
@@ -438,7 +447,7 @@ def analytic_sweep(
                 n=n,
                 nt=nt,
                 m=m if scheme in _ASTBC_SCHEMES else None,
-                snr_db=float(snr_db),
+                snr_db=snr_db,
                 trials=0,
                 source_errors=0,
                 ris_errors=None,

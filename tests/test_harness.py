@@ -270,10 +270,10 @@ class TestCodedKernel:
             (dict(scheme="pb-lowcomplexity", nt=4, snr_db_grid=(-8.0, -4.0), seed=42), [(578, None), (230, None)]),
             (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(8, None), (2, None)]),
             (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(468, None), (195, None)]),
-            (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1104, None), (700, None)]),
+            (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1151, None), (730, None)]),
             (dict(scheme="pb-lowcomplexity", nt=8, snr_db_grid=(-4.0, 0.0), seed=46), [(1030, None), (427, None)]),
             (dict(scheme="intelligent-ris-ssk", nt=8, snr_db_grid=(-6.0, -2.0), seed=47), [(430, None), (183, None)]),
-            (dict(scheme="traditional-ssk", nt=8, snr_db_grid=(5.0, 10.0), seed=48), [(1467, None), (773, None)]),
+            (dict(scheme="traditional-ssk", nt=8, snr_db_grid=(5.0, 10.0), seed=48), [(1510, None), (753, None)]),
             (dict(scheme="pb", n=64, snr_db_grid=(-28.0,), trials=5000, seed=50), [(121, None)]),
         ],
     )
@@ -285,22 +285,29 @@ class TestCodedKernel:
         # again since: astbc-fast when its antenna metric became the exact ML
         # cost (its counts equal astbc-optimal's on the same config), and
         # pb-sdr when the relaxation's ascent schedules were shortened.  The
-        # N=64 pb point spans ten chunks.
+        # traditional-ssk counts were recorded again when its channel stream
+        # came to hold only the 2·Nt direct-link normals, after they matched
+        # the scalar reference of TestPbKernel on the same draws and a
+        # workers=2 run.  The N=64 pb point spans ten chunks.
         records = run_ber_sweep(_cfg(**{"trials": 2000, **kw}))
         assert [(r.source_errors, r.ris_errors) for r in records] == want
 
     def test_golden_early_stop(self):
-        # Recorded from the per-trial loop: three stop-check intervals, two workers.
+        # Three stop-check intervals, two workers.  Recorded again when the
+        # traditional-ssk channel stream came to hold only the direct links,
+        # after it matched the scalar reference and a workers=1 run.
         cfg = _cfg(scheme="traditional-ssk", nt=4, snr_db_grid=(-3.0,), trials=100_000,
                    target_errors=20_000, seed=51, workers=2)
         (r,) = run_ber_sweep(cfg)
-        assert (r.trials, r.source_errors) == (30_000, 20_529)
+        assert (r.trials, r.source_errors) == (30_000, 20_467)
 
     def test_chunk_budget_bounds_memory(self):
         for cfg in (
             _cfg(scheme="astbc-optimal", n=64, nt=8, m=32, snr_db_grid=(0.0,), trials=2000),
             _cfg(scheme="pb-lowcomplexity", n=64, nt=8, snr_db_grid=(0.0,), trials=1000),
             _cfg(scheme="intelligent-ris-ssk", n=64, nt=8, snr_db_grid=(0.0,), trials=2000),
+            # several full chunks of the (chunk, 2·Nt) direct-link draws
+            _cfg(scheme="traditional-ssk", n=64, nt=8, snr_db_grid=(0.0,), trials=10_000),
         ):
             tracemalloc.start()
             try:
@@ -312,34 +319,63 @@ class TestCodedKernel:
 
 
 def _zero_link_on_call(at):
-    """sample_channel that returns a link with f = 0 and d = 0 on its call
-    number ``at``: every gain of that trial is zero."""
+    """sample_channel that returns a link with f = 0 on its call number
+    ``at``: every gain of that trial is zero."""
     calls = itertools.count()
 
-    def sample(n, nt, rng, with_direct=False):
-        ch = sample_channel(n, nt, rng, with_direct=with_direct)
+    def sample(n, nt, rng):
+        ch = sample_channel(n, nt, rng)
         if next(calls) == at:
             ch.f[:] = 0
-            if ch.d is not None:
-                ch.d[:] = 0
         return ch
 
     return sample
 
 
-def _pb_reference(cfg, snr_db, start, count, sample):
+class _Zeros:
+    """Stand-in generator whose normals are all zero."""
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+def _zero_channel_at(trial):
+    """StreamBank whose channel stream draws only zeros at one trial index:
+    every direct link of that trial is zero."""
+
+    class Bank(StreamBank):
+        def __init__(self, seed, purpose):
+            super().__init__(seed, purpose)
+            self.zeroed = purpose == "channel"
+
+        def trial(self, k):
+            gen = super().trial(k)
+            return _Zeros() if self.zeroed and k == trial else gen
+
+    return Bank
+
+
+def _pb_reference(cfg, snr_db, start, count, zero_at):
     """Per-trial (sent, detected) from a plain scalar loop over the one-trial
-    beamformers: gains summed element by element, nearest gain by ``min``."""
+    beamformers: gains summed element by element, nearest gain by ``min``.
+    Trial ``start + zero_at`` has every gain zero."""
     noise = NoiseModel.from_snr_db(snr_db)
     beamformers = {"pb": beamform.optimal_two_tx, "pb-lowcomplexity": beamform.low_complexity_beamform}
+    sample = _zero_link_on_call(zero_at)
+    bank = _zero_channel_at(start + zero_at)(cfg.seed, "channel")
     out = []
     for k in range(start, start + count):
-        ch = sample(cfg.n, cfg.nt, substream(cfg.seed, k, "channel"), cfg.scheme == "traditional-ssk")
         rng = substream(cfg.seed, k, "data")
         l = int(rng.integers(0, cfg.nt))
         if cfg.scheme == "traditional-ssk":
-            gains = list(ch.d)
+            # the channel stream holds only the direct links, as (re, im) pairs
+            z = bank.trial(k).standard_normal(2 * cfg.nt)
+            gains = [complex(z[2 * a], z[2 * a + 1]) / math.sqrt(2) for a in range(cfg.nt)]
         else:
+            ch = sample(cfg.n, cfg.nt, substream(cfg.seed, k, "channel"))
             if cfg.scheme == "intelligent-ris-ssk":
                 phi = beamform.intelligent_ris_phases(ch)[l]
             elif cfg.scheme == "pb-sdr":
@@ -365,10 +401,13 @@ class TestPbKernel:
                    sdr=beamform.SdrOptions(rounding_count=8) if sdr else None)
         count, zero_at = (9, 4) if sdr else (60, 17)
         snr_db = ({"traditional-ssk": 0.0, "pb-sdr": -10.0}.get(scheme, -12.0)) if finite else math.inf
-        want = _pb_reference(cfg, snr_db, 900, count, _zero_link_on_call(zero_at))
+        want = _pb_reference(cfg, snr_db, 900, count, zero_at)
         # chunks of 7 trials: several full chunks and a partial last one
         monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * harness._trial_elements(cfg))
-        monkeypatch.setattr(harness, "sample_channel", _zero_link_on_call(zero_at))
+        if scheme == "traditional-ssk":  # draws its links without sample_channel
+            monkeypatch.setattr(harness, "StreamBank", _zero_channel_at(900 + zero_at))
+        else:
+            monkeypatch.setattr(harness, "sample_channel", _zero_link_on_call(zero_at))
         noise = NoiseModel.from_snr_db(snr_db)
         got = [
             (int(s), int(d))
@@ -391,6 +430,29 @@ class TestPbKernel:
         sizes = [len(s) for s, _ in harness._pb_chunks(cfg, NoiseModel(0.0), 0, 400)]
         assert max(sizes) * n * (nt * (nt - 1) // 2) <= 1 << 14
         assert sum(sizes) == 400
+
+
+class TestDirectLinkBaseline:
+    def test_ber_matches_rayleigh_closed_form(self):
+        # Nt=2: y = d_l + w decides between two i.i.d. CN(0, 1) links and errs
+        # with probability Q(sqrt(rho |d_0 - d_1|^2 / 2)), where |d_0 - d_1|^2 / 2
+        # is Exp(1): the Rayleigh average at mean SNR rho / 2.  This checks the
+        # draws against theory, not against a reference built from them.
+        cfg = _cfg(scheme="traditional-ssk", snr_db_grid=(0.0, 10.0), trials=100_000, seed=10)
+        for r in run_ber_sweep(cfg):
+            gbar = 10 ** (r.snr_db / 10) / 2
+            closed = 0.5 * (1 - math.sqrt(gbar / (1 + gbar)))
+            lo, hi = binomial_confidence(r.source_errors, r.trials)  # one bit a trial
+            assert lo <= closed <= hi, (r.snr_db, r.ber_source, closed)
+            assert r.analytic_source is None
+
+    def test_results_do_not_depend_on_n(self):
+        # the channel stream holds only the direct links
+        counts = [
+            [r.source_errors for r in run_ber_sweep(_cfg(scheme="traditional-ssk", n=n, nt=4, snr_db_grid=(0.0, 5.0)))]
+            for n in (1, 8, 64)
+        ]
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestAnalyticSweep:
@@ -421,6 +483,22 @@ class TestAnalyticSweep:
             _cfg(scheme=scheme, n=n, nt=nt, m=m).validate()
         with pytest.raises(ConfigError):
             analytic_sweep(scheme, n, nt, m, [0.0])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[True], "05", (0.0, np.True_), [math.nan], [-math.inf], [], [5.0, 0.0], [0.0, 0.0]],
+        ids=["bool", "str", "numpy-bool", "nan", "-inf", "empty", "decreasing", "repeated"],
+    )
+    def test_applies_sweep_grid_rules(self, grid):
+        # [True] used to compute 1 dB, nan printed "source=n/a", "05" raised TypeError
+        with pytest.raises(ConfigError):
+            _cfg(snr_db_grid=grid).validate()
+        with pytest.raises(ConfigError):
+            analytic_sweep("pb", 8, 2, None, grid)
+
+    def test_keeps_noiseless_point(self):
+        records = analytic_sweep("pb", 8, 2, None, np.array([0, math.inf]))
+        assert [r.snr_db for r in records] == [0.0, math.inf]
 
 
 class TestDiversitySlope:
@@ -676,6 +754,12 @@ class TestCli:
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
                          f"--snr={snr}", "--trials", "10", "--seed", "0"]) == 2
         assert "SNR points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "5,0"])
+    def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
+        assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
+        out, err = capsys.readouterr()
+        assert "SNR" in err and out == ""
 
     def test_validate_fast_passes(self, capsys):
         assert cli.main(["validate", "--level", "fast"]) == 0
