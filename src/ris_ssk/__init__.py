@@ -22,7 +22,6 @@ from .astbc_link import (
 )
 from .beamform import (
     ReflectionVector,
-    SdrOptions,
     brute_force_beamform,
     intelligent_ris_phases,
     low_complexity_beamform,

@@ -3,8 +3,8 @@
 Gaussian tail helpers, the large-surface Gaussian approximation of the
 beamformed two-antenna scheme, and the pairwise/union-bound machinery for
 the two-slot coded scheme, including high-SNR asymptotes.  Union-bound
-based averages are clamped to [0, 1/2] for reporting; pass ``clamped=False``
-to get the raw bound value.
+based averages are held to [0, 1/2] for reporting; the raw bound is
+:func:`union_bound_antenna`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AbepQuery:
-    """Operating point for the closed forms: linear SNR, element count,
-    antenna count, and PSK order (ignored by the beamformed scheme)."""
+    """Operating point for the closed forms: finite positive linear SNR,
+    element count, antenna count (at least two), and PSK order (ignored by
+    the beamformed scheme)."""
 
     rho: float
     n: int
@@ -25,10 +26,12 @@ class AbepQuery:
     m: int = 2
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("linear SNR must be positive")
+        if not 0 < self.rho < np.inf:  # also rejects NaN
+            raise ValueError(f"linear SNR must be finite and positive, got {self.rho}")
         if self.n < 1:
             raise ValueError("element count must be at least 1")
+        if self.nt < 2:
+            raise ValueError("the closed forms need at least two transmit antennas")
         for name, v in (("nt", self.nt), ("m", self.m)):
             if v < 1 or v & (v - 1):
                 raise ValueError(f"{name} must be a power of two")
@@ -129,18 +132,17 @@ def pep_astbc(q: AbepQuery) -> float:
 
 
 def union_bound_antenna(q: AbepQuery) -> float:
-    """Union bound on the antenna-index error probability (raw, unclamped)."""
+    """Union bound on the antenna-index error probability (raw: it may exceed 1)."""
     return q.m**2 * (q.nt - 1) * pep_astbc(q)
 
 
-def abep_source(q: AbepQuery, clamped: bool = True) -> float:
+def abep_source(q: AbepQuery) -> float:
     """Average bit error probability of the source's index bits.
 
-    Half the union bound, rescaled from index errors to bit errors;
-    clamped to [0, 1/2] unless the raw bound is requested.
+    Half the union bound, rescaled from index errors to bit errors and
+    capped at 1/2.
     """
-    raw = 0.5 * union_bound_antenna(q) * q.nt / (q.nt - 1)
-    return min(raw, 0.5) if clamped else raw
+    return min(0.5 * union_bound_antenna(q) * q.nt / (q.nt - 1), 0.5)
 
 
 def psk_demod_abep(q: AbepQuery) -> float:
@@ -152,15 +154,14 @@ def psk_demod_abep(q: AbepQuery) -> float:
     return 2.0 / max(np.log2(q.m), 2.0) * total
 
 
-def abep_ris(q: AbepQuery, clamped: bool = True) -> float:
+def abep_ris(q: AbepQuery) -> float:
     """Average bit error probability of the surface's phase bits.
 
     Mixes the PSK demodulation error (correct antenna decision) with a
-    coin-flip penalty weighted by the antenna union bound.
+    coin-flip penalty weighted by the antenna union bound; held to [0, 1/2].
     """
     pe = union_bound_antenna(q)
-    raw = 0.5 * pe + (1.0 - pe) * psk_demod_abep(q)
-    return min(max(raw, 0.0), 0.5) if clamped else raw
+    return min(max(0.5 * pe + (1.0 - pe) * psk_demod_abep(q), 0.0), 0.5)
 
 
 def abep_source_asymptotic(q: AbepQuery) -> float:

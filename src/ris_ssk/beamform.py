@@ -38,7 +38,6 @@ class SdrDiagnostics:
     iterations: int
     converged: bool
     relaxation_objective: float
-    final_min: float
     candidate_index: int
     d_min: float
 
@@ -50,27 +49,6 @@ class ReflectionVector:
     phi: np.ndarray
     diagnostics: SdrDiagnostics | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def theta(self) -> np.ndarray:
-        """The coefficients' phases in [0, 2pi)."""
-        return np.mod(np.angle(self.phi), _TWO_PI)
-
-
-@dataclass
-class SdrOptions:
-    """Knobs for :func:`sdr_beamform`.
-
-    ``rounding_count`` Gaussian randomization vectors are drawn from the
-    relaxed solution, and every one of them is polished, so the candidate
-    set is monotone in ``rounding_count``.
-    """
-
-    rounding_count: int = 100
-
-    def __post_init__(self):
-        if self.rounding_count < 1:
-            raise ValueError("rounding_count must be at least 1")
-
 
 # Ascent schedules: restarts, ascent steps per temperature stage, and the
 # soft-minimum temperatures (times the pair-row scale) of the relaxation and
@@ -78,12 +56,14 @@ class SdrOptions:
 # antenna pairs.  A solve's time tracks its step count, as each step is a
 # few dozen small numpy calls whatever the batch; at N=16, Nt=4 the longer
 # 10 x 80 relaxation and 8 x 60 polish took 2.5x the steps for under 0.4%
-# more mean d_min.
+# more mean d_min.  Every one of the _ROUNDINGS Gaussian randomization
+# vectors is polished.
 _RESTARTS = 3
 _SOLVER_ITERATIONS = 40
 _TEMPERATURES = np.geomspace(1.0, 1e-4, 5)
 _POLISH_ITERATIONS = 30
 _POLISH_TEMPERATURES = np.geomspace(0.3, 1e-4, 8)
+_ROUNDINGS = 100
 
 
 @lru_cache(maxsize=None)
@@ -165,24 +145,20 @@ def low_complexity_beamform(ch: ChannelRealization) -> np.ndarray:
     return np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
 
 
-def brute_force_beamform(
-    ch: ChannelRealization,
-    levels: int,
-    budget: int = 1 << 20,
-) -> np.ndarray:
+def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
     """Exhaustive search over a uniform phase grid (validation oracle).
 
     Every element phase ranges over {2 pi k / levels}; the grid-global
     argmax of the minimum pairwise distance is returned.  Refuses grids
-    larger than ``budget`` evaluations.
+    of more than 2^20 evaluations.
     """
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
     if levels < 1:
         raise ValueError("levels must be at least 1")
     total = levels**ch.n
-    if total > budget:
-        raise ValueError(f"grid of {total} evaluations exceeds budget {budget}")
+    if total > 1 << 20:
+        raise ValueError(f"grid of {total} evaluations exceeds the limit of 2^20")
     table = np.exp(1j * _TWO_PI * np.arange(levels) / levels)
     best_d, best = -np.inf, None
     for start in range(0, total, 1 << 14):
@@ -255,28 +231,22 @@ def _anneal(A, X, scale, temps, step, iterations, tol):
     return X, _sq_norms(Q), taken, ~active
 
 
-def sdr_beamform(
-    ch: ChannelRealization,
-    opts: SdrOptions | None = None,
-    rng: np.random.Generator | None = None,
-) -> ReflectionVector:
+def sdr_beamform(ch: ChannelRealization, rng: np.random.Generator) -> ReflectionVector:
     """Semidefinite-relaxation beamformer with randomization rounding.
 
     Solves the lifted max-min program approximately through a low-rank
-    factorization, draws ``rounding_count`` Gaussian vectors through the
-    factor, normalizes each to unit modulus, polishes the candidates on
-    the unit-modulus set, and returns the candidate with the largest
-    minimum pairwise distance.  Ties go to the candidate with the larger
+    factorization, draws 100 Gaussian vectors through the factor,
+    normalizes each to unit modulus, polishes the candidates on the
+    unit-modulus set, and returns the candidate with the largest minimum
+    pairwise distance.  Ties go to the candidate with the larger
     raw distance (then the lower index), polished before raw.
     Deterministic given ``rng``; solver stall is not an error (the best
     iterate is used and flagged in the diagnostics).
     """
     if ch.nt < 2:
         raise ValueError("need at least two transmit antennas")
-    opts = opts or SdrOptions()
-    rng = rng or np.random.default_rng(0)
     A = _pair_rows(ch)
-    K, T = A.shape[0], opts.rounding_count
+    K, T = A.shape[0], _ROUNDINGS
     rank = min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)
     scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0
 
@@ -312,7 +282,6 @@ def sdr_beamform(
         iterations=int(taken.sum()),
         converged=bool(done[b]),
         relaxation_objective=float(q[:, b].min()),
-        final_min=float((np.abs(A @ best_vec) ** 2).min()),
         candidate_index=int(owner[k]),
         d_min=float(d[k]),
     )

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 import operator
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Small fixed codes for the purposes the simulator itself uses; arbitrary
-# purpose strings fall back to a crc32-derived code above them.
+# The key's 16-bit purpose field: one fixed code for each stream the
+# simulator draws from.
 _PURPOSE_CODES = {
     "channel": 0,
     "data": 1,
@@ -30,20 +29,14 @@ _TRIAL_LIMIT = 1 << 48
 SEED_LIMIT = 1 << 64
 
 
-def _purpose_code(purpose: str | int) -> int:
-    if isinstance(purpose, int):
-        code = purpose
-    else:
-        code = _PURPOSE_CODES.get(purpose)
-        if code is None:
-            reserved = len(_PURPOSE_CODES)
-            code = reserved + zlib.crc32(purpose.encode()) % ((1 << 16) - reserved)
-    if not 0 <= code < (1 << 16):
-        raise ValueError(f"purpose code out of range: {code}")
+def _purpose_code(purpose: str) -> int:
+    code = _PURPOSE_CODES.get(purpose)
+    if code is None:
+        raise ValueError(f"unknown stream purpose {purpose!r}; choose from {tuple(_PURPOSE_CODES)}")
     return code
 
 
-def _philox_key(seed: int, trial: int, purpose: str | int) -> np.ndarray:
+def _philox_key(seed: int, trial: int, purpose: str) -> np.ndarray:
     seed, trial = operator.index(seed), operator.index(trial)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
@@ -55,7 +48,7 @@ def _philox_key(seed: int, trial: int, purpose: str | int) -> np.ndarray:
     return key
 
 
-def substream(seed: int, trial: int, purpose: str | int = "channel") -> np.random.Generator:
+def substream(seed: int, trial: int, purpose: str = "channel") -> np.random.Generator:
     """Independent random stream for one (seed, trial, purpose) triple.
 
     The same triple always yields a bit-identical stream, which makes every
@@ -73,7 +66,7 @@ class StreamBank:
     threads or processes; create one per worker and purpose.
     """
 
-    def __init__(self, seed: int, purpose: str | int):
+    def __init__(self, seed: int, purpose: str):
         key = _philox_key(seed, 0, purpose)
         self._bg = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bg)

@@ -18,12 +18,15 @@ from .channel import sample_channel, substream
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'."""
+    """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'; only
+    the list form can hold the noiseless point inf."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("grid must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not np.isfinite((start, stop, step)).all():
+            raise ValueError(f"SNR points of a start:stop:step grid must be finite: {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(round((stop - start) / step)) + 1
@@ -54,11 +57,12 @@ def load_config_file(path: str) -> dict:
 
 
 _INT_KEYS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
-_SETTINGS = ("scheme", "snr", "out", "rounding_count") + _INT_KEYS
+_SETTINGS = ("scheme", "snr", "out") + _INT_KEYS
 _REQUIRED = ("scheme", "n", "nt", "snr", "trials", "seed")
 
 
-def _build_sim_config(args) -> harness.SimConfig:
+def _build_sim_config(args) -> tuple[harness.SimConfig, str | None]:
+    """The validated sweep configuration and the CSV output path, if any."""
     raw: dict = {}
     if args.config:
         raw.update(load_config_file(args.config))
@@ -73,18 +77,13 @@ def _build_sim_config(args) -> harness.SimConfig:
     grid = raw["snr"]
     if isinstance(grid, str):
         grid = _parse_snr_grid(grid)
-    sdr = None
-    if "rounding_count" in raw:
-        sdr = beamform.SdrOptions(rounding_count=int(raw["rounding_count"]))
     cfg = harness.SimConfig(
         scheme=scheme,
         snr_db_grid=grid,
-        sdr=sdr,
-        output_path=raw.get("out"),
         **{k: int(raw[k]) for k in _INT_KEYS if k in raw},
     )
     cfg.validate()
-    return cfg
+    return cfg, raw.get("out")
 
 
 def _print_records(records) -> None:
@@ -103,12 +102,12 @@ def _print_records(records) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_sim_config(args)
+    cfg, out = _build_sim_config(args)
     records = harness.run_ber_sweep(cfg)
     _print_records(records)
-    if cfg.output_path:
-        harness.write_csv(records, cfg.output_path)
-        print(f"wrote {cfg.output_path}")
+    if out:
+        harness.write_csv(records, out)
+        print(f"wrote {out}")
     if args.json:
         harness.write_json(records, args.json)
         print(f"wrote {args.json}")
@@ -131,11 +130,7 @@ def _cmd_analytic(args) -> int:
 def _cmd_optimize(args) -> int:
     ch = sample_channel(args.n, args.nt, substream(args.seed, 0, "channel"))
     if args.method == "sdr":
-        rv = beamform.sdr_beamform(
-            ch,
-            beamform.SdrOptions(rounding_count=args.rounding_count),
-            substream(args.seed, 0, "sdr"),
-        )
+        rv = beamform.sdr_beamform(ch, substream(args.seed, 0, "sdr"))
     elif args.method == "low-complexity":
         rv = beamform.low_complexity_beamform(ch)
     elif args.method == "two-tx":
@@ -182,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--target-errors", type=int, dest="target_errors")
-    p.add_argument("--rounding-count", type=int, dest="rounding_count")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", help="JSON output path")
     p.set_defaults(func=_cmd_sweep)
@@ -203,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--levels", type=int, default=16, help="grid levels for brute force")
-    p.add_argument("--rounding-count", type=int, default=100, dest="rounding_count")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="run acceptance criteria 6-10")

@@ -122,14 +122,14 @@ def _snr_grid(grid) -> tuple[float, ...]:
 
 @dataclass
 class SimConfig:
-    """One sweep: a scheme, its dimensions, an SNR grid, and a trial budget.
+    """One sweep: a scheme, its dimensions, an SNR grid, and a trial count.
 
-    ``trials`` is the per-point budget; when ``target_errors`` is set the
-    point stops early once every counted bit stream has accumulated that
-    many errors (checked at a fixed interval).  ``m`` (astbc schemes only)
-    and ``sdr`` (pb-sdr only) are rejected for the schemes that do not use
-    them.  ``record_wall_time`` is off by default so identical
-    configurations produce byte-identical output files.
+    ``trials`` is the most trials a point runs; when ``target_errors`` is
+    set the point stops early once every counted bit stream has accumulated
+    that many errors (checked at a fixed interval).  ``m`` (astbc schemes
+    only) is rejected for the schemes that do not use it.
+    ``record_wall_time`` is off by default so identical configurations
+    produce byte-identical output files.
     """
 
     scheme: str
@@ -139,10 +139,8 @@ class SimConfig:
     trials: int
     seed: int
     m: int | None = None
-    sdr: beamform.SdrOptions | None = None
     target_errors: int | None = None
     workers: int = 1
-    output_path: str | None = None
     record_wall_time: bool = False
 
     def __post_init__(self):
@@ -167,8 +165,6 @@ class SimConfig:
             raise ConfigError("workers must be at least 1")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigError("target_errors must be at least 1")
-        if self.sdr is not None and self.scheme != "pb-sdr":
-            raise ConfigError(f"relaxation options apply only to 'pb-sdr', not {self.scheme!r}")
 
 
 @dataclass
@@ -197,13 +193,13 @@ def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
     return b_src, b_ris
 
 
-# Element budget of one chunk of trials: a chunk holds as many trials as
-# fit this many elements in its largest per-trial array (at least one), so
+# Element cap of one chunk of trials: a chunk holds as many trials as fit
+# this many elements in its largest per-trial array (at least one), so
 # memory stays bounded whatever the trial count or Nt * M^2.
 _CHUNK_ELEMENTS = 1 << 16
 
 # The candidate-set beamformer's (pairs, N) temporaries, counted this many
-# times against the budget, so each one holds about 2^14 complex elements
+# times against the cap, so each one holds about 2^14 complex elements
 # a chunk.  Against 2^16-element temporaries this cut the kernel's time per
 # trial by 9% at N=16, Nt=4 and 36% at N=64, Nt=8 (2-vCPU Xeon).
 _CANDIDATE_TEMPORARIES = 4
@@ -302,7 +298,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
                 ch = sample_channel(n, nt, ch_bank.trial(at + t))
                 G[t], f[t] = ch.G, ch.f
                 if sdr_bank is not None:
-                    coeff[t] = beamform.sdr_beamform(ch, cfg.sdr, sdr_bank.trial(at + t)).phi
+                    coeff[t] = beamform.sdr_beamform(ch, sdr_bank.trial(at + t)).phi
             chs = ChannelRealization(G[:b], f[:b])
             if scheme == "intelligent-ris-ssk":  # realigned to each active antenna
                 table = cascaded_gains(chs.G, chs.f, beamform.intelligent_ris_phases(chs))

@@ -195,7 +195,7 @@ class TestAstbcPep:
 class TestSourceAbep:
     def test_low_snr_clamps_to_half(self):
         q = AbepQuery(rho=1e-18, n=2, nt=2, m=2)
-        assert abep_source(q, clamped=False) == pytest.approx(2.0, rel=1e-6)
+        assert union_bound_antenna(q) == pytest.approx(2.0, rel=1e-6)
         assert abep_source(q) == 0.5
 
     def test_matches_asymptote_at_rho_n_100(self):
@@ -237,7 +237,7 @@ class TestRisAbep:
     def test_clamped_to_half(self):
         q = AbepQuery(rho=1e-18, n=2, nt=4, m=4)
         assert abep_ris(q) == 0.5
-        assert abep_ris(q, clamped=False) > 0.5
+        assert union_bound_antenna(q) > 1  # the raw bound is no probability
 
 
 class TestAsymptotics:
@@ -266,6 +266,14 @@ class TestAbepQueryValidation:
             AbepQuery(rho=1.0, n=8, nt=3)
         with pytest.raises(ValueError):
             AbepQuery(rho=1.0, n=8, m=6)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(rho=np.nan), dict(rho=np.inf), dict(rho=-1.0), dict(nt=1)], ids=["nan", "inf", "negative", "nt1"]
+    )
+    def test_rejects_points_without_a_closed_form(self, kw):
+        # a NaN or inf rho would give NaN ABEPs, nt=1 a division by zero in abep_source
+        with pytest.raises(ValueError):
+            AbepQuery(**{"rho": 1.0, "n": 8, **kw})
 
     def test_chi_square_pdfs_normalized(self):
         for params, n in ((PAIR_DISTANCE_PDF, 32), (COMBINED_GAIN_PDF, 64)):

@@ -34,16 +34,12 @@ class TestStreams:
             got = bank.trial(trial).standard_normal(9)
             assert np.array_equal(want, got)
 
-    def test_arbitrary_purpose_strings_are_stable(self):
-        a = substream(1, 2, "weird-tag").standard_normal(4)
-        b = substream(1, 2, "weird-tag").standard_normal(4)
-        assert np.array_equal(a, b)
-
-    def test_purpose_strings_avoid_fixed_codes(self):
-        # crc32("p21900") & 0xFFFF is 0, the "channel" code.
-        custom = substream(1, 0, "p21900").standard_normal(4)
-        for fixed in ("channel", "data", "sdr", "oracle"):
-            assert not np.array_equal(custom, substream(1, 0, fixed).standard_normal(4))
+    @pytest.mark.parametrize("purpose", ["weird-tag", "Channel", "", 0, 2])
+    def test_unknown_purpose_raises(self, purpose):
+        with pytest.raises(ValueError, match="purpose"):
+            substream(1, 0, purpose)
+        with pytest.raises(ValueError, match="purpose"):
+            StreamBank(1, purpose)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):

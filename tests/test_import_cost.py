@@ -32,7 +32,7 @@ for scheme, n, nt, m in [
 commands = [
     ["sweep", "--scheme", "pb", "--n", "8", "--nt", "2", "--snr", "0,5", "--trials", "3", "--seed", "0"],
     ["analytic", "--scheme", "astbc-fast", "--n", "8", "--m", "4", "--snr", "0:10:5"],
-] + [["optimize", "--method", method, "--n", "4", "--nt", "4", "--rounding-count", "2", "--levels", "2"]
+] + [["optimize", "--method", method, "--n", "4", "--nt", "4", "--levels", "2"]
      for method in ("sdr", "low-complexity", "brute")]
 for argv in commands:
     sys.argv = ["ris_ssk", *argv]

@@ -14,9 +14,9 @@ from ris_ssk.channel import (
 from ris_ssk.pb_link import detect_pb_ml, label_bit_errors, transmit_pb
 
 
-def _random_gains(seed, n, nt, stream="oracle"):
+def _random_gains(seed, n, nt):
     """A channel, random unit-modulus coefficients and their gain vector (Nt,)."""
-    rng = substream(seed, 0, stream)
+    rng = substream(seed, 0, "oracle")
     ch = sample_channel(n, nt, rng)
     phi = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return ch, phi, cascaded_gains(ch.G, ch.f, phi)[0]
@@ -86,7 +86,7 @@ class TestDetectPbMl:
         for l in range(4):
             assert detect_pb_ml(gains[l], gains) == l
         # over a leading trial axis: every antenna of every trial at once
-        table = np.stack([_random_gains(4, 8, 4, f"s{t}")[2] for t in range(5)])
+        table = np.stack([_random_gains(40 + t, 8, 4)[2] for t in range(5)])
         y = np.stack([table[:, l] for l in range(4)], axis=1)  # (5, 4) sent points
         got = detect_pb_ml(y, table[:, None, :])
         assert got.tolist() == [list(range(4))] * 5
