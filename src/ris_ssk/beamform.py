@@ -53,10 +53,11 @@ class ReflectionVector:
 # Ascent schedules: restarts, ascent steps per temperature stage, and the
 # soft-minimum temperatures (times the pair-row scale) of the relaxation and
 # of the polish.  The factor rank is min(N, ceil(sqrt(2K)) + 1) for K
-# antenna pairs.  A solve's time tracks its step count, as each step is a
-# few dozen small numpy calls whatever the batch; at N=16, Nt=4 the longer
-# 10 x 80 relaxation and 8 x 60 polish took 2.5x the steps for under 0.4%
-# more mean d_min.  Every one of the _ROUNDINGS Gaussian randomization
+# antenna pairs.  A solve's time tracks its step count: at N=16, Nt=4 a
+# step costs about 50 us for the 3 restarts and 80 us for the 100 polished
+# candidates (2-vCPU Xeon), about 23 ms for the ~440 steps of a solve.  The
+# longer 10 x 80 relaxation and 8 x 60 polish took 2.5x the steps for under
+# 0.4% more mean d_min.  Every one of the _ROUNDINGS Gaussian randomization
 # vectors is polished.
 _RESTARTS = 3
 _SOLVER_ITERATIONS = 40
@@ -158,7 +159,9 @@ def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
         raise ValueError("levels must be at least 1")
     total = levels**ch.n
     if total > 1 << 20:
-        raise ValueError(f"grid of {total} evaluations exceeds the limit of 2^20")
+        fit = int(2 ** (20 / ch.n) + 1e-9)
+        raise ValueError(f"grid of {levels}^{ch.n} = {total} evaluations exceeds the limit "
+                         f"of 2^20; at n={ch.n}, levels of at most {fit} fit")
     table = np.exp(1j * _TWO_PI * np.arange(levels) / levels)
     best_d, best = -np.inf, None
     for start in range(0, total, 1 << 14):
@@ -171,14 +174,9 @@ def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
     return best
 
 
-def _sq_norms(X: np.ndarray) -> np.ndarray:
-    """Squared norm of every row (last axis) of a complex array."""
-    return (X * X.conj()).real.sum(axis=-1)
-
-
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     """Scale every row (last axis) to unit norm; a zero row becomes a constant one."""
-    norm = np.sqrt(_sq_norms(X))[..., None]
+    norm = np.sqrt((X * X.conj()).real.sum(axis=-1))[..., None]
     return np.divide(X, norm, out=np.full_like(X, X.shape[-1] ** -0.5), where=norm > 0)
 
 
@@ -194,41 +192,85 @@ def _anneal(A, X, scale, temps, step, iterations, tol):
     collapses.  The soft minimum's exponentials double as the gradient
     weights.  Returns X, q (K, B), the steps each problem took, and which
     problems left the last stage early.
+
+    The iterate shares one array with its products and the gradient weights
+    one with the soft minima, so a step costs two merges if any problem
+    rejects and none if all accept.  Each value takes the floating-point
+    operations of the plain complex ascent, so iterates are bit-identical
+    to it: rounding picks between candidates that reach the same optimum.
     """
     n, B, r = X.shape
     K = A.shape[0]
     AH = np.ascontiguousarray(A.conj().T)
 
-    def softmin(Q, tau):
-        q = _sq_norms(Q)
+    def sq_rows(Y):
+        """Squared norm of every row of Y, shaped (..., B, 1)."""
+        sq = (Y * Y.conj()).real
+        return sq if r == 1 else sq.sum(axis=-1, keepdims=True)
+
+    def softmin(Z, tau):
+        """Gradient weights e / total (rows :K) and soft minimum (row K)."""
+        q = sq_rows(Z[n:])[..., 0]
         lo = q.min(axis=0)
         e = np.exp((lo - q) / tau)
         total = e.sum(axis=0)
-        return lo - tau * np.log(total / K), e / total
+        W = np.empty((K + 1, B))
+        np.divide(e, total, out=W[:K])
+        np.subtract(lo, tau * np.log(total / K), out=W[K])
+        return W
 
-    Q = (A @ X.reshape(n, B * r)).reshape(K, B, r)
+    # Z holds X over A X; the first A X uses X as laid out by the caller,
+    # as a transposed operand takes another BLAS path and rounds otherwise.
+    Z = np.empty((n + K, B, r), dtype=complex)
+    Z[:n] = X
+    Z[n:] = (A @ X.reshape(n, B * r)).reshape(K, B, r)
     step = np.full(B, step)
     taken = np.zeros(B, dtype=int)
     for tau in temps:
-        s, w = softmin(Q, tau)
+        W = softmin(Z, tau)
         active = np.ones(B, dtype=bool)
-        for _ in range(iterations):
-            taken += active
-            grad = (AH @ (w[:, :, None] * Q).reshape(K, B * r)).reshape(n, B, r)
-            X_new = _unit_rows(X + step[:, None] * grad)
-            Q_new = (A @ X_new.reshape(n, B * r)).reshape(K, B, r)
-            s_new, w_new = softmin(Q_new, tau)
-            acc = active & (s_new >= s)
-            step = np.where(active, step * np.where(acc, 1.2, 0.5), step)
-            stop = (active ^ acc) & (step < 1e-14 / scale)
+        everyone_active = True
+        taken += iterations  # less, on stopping, the steps not taken
+        for it in range(iterations):
+            # X + step A^H (w A X), then unit rows (a zero row becomes the
+            # constant one), then the products and soft minimum there.
+            Z_new = np.empty_like(Z)
+            Y = Z_new[:n]
+            np.matmul(AH, (Z[n:] * W[:K, :, None]).reshape(K, B * r), out=Y.reshape(n, B * r))
+            Y *= step[:, None]
+            Y += Z[:n]
+            norm = np.sqrt(sq_rows(Y))
+            if np.count_nonzero(norm) < norm.size:
+                zero = norm == 0
+                Y += zero * r**-0.5
+                norm += zero
+            Y *= 1.0 / norm  # what complex-by-real division computes
+            np.matmul(A, Y.reshape(n, B * r), out=Z_new[n:].reshape(K, B * r))
+            W_new = softmin(Z_new, tau)
+            s, s_new = W[K], W_new[K]
+            acc = s_new >= s
+            if not everyone_active:
+                acc &= active
+            stop = False
+            if np.count_nonzero(acc) == B:
+                step = step * 1.2
+                Z, W = Z_new, W_new
+            else:
+                factor = np.where(acc, 1.2, 0.5)
+                step = step * factor if everyone_active else np.where(active, step * factor, step)
+                Z, W = np.where(acc[:, None], Z_new, Z), np.where(acc, W_new, W)
+                collapsed = step < 1e-14 / scale
+                if np.count_nonzero(collapsed):
+                    stop = collapsed & (active ^ acc)
             if tol:
-                stop |= acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12))
-            active ^= stop
-            X, Q = np.where(acc[:, None], X_new, X), np.where(acc[:, None], Q_new, Q)
-            w, s = np.where(acc, w_new, w), np.where(acc, s_new, s)
-            if not active.any():
-                break
-    return X, _sq_norms(Q), taken, ~active
+                stop = stop | (acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12)))
+            if np.count_nonzero(stop):
+                taken[stop] -= iterations - 1 - it
+                active ^= stop
+                everyone_active = False
+                if not np.count_nonzero(active):
+                    break
+    return Z[:n], sq_rows(Z[n:])[..., 0], taken, ~active
 
 
 def sdr_beamform(ch: ChannelRealization, rng: np.random.Generator) -> ReflectionVector:

@@ -16,6 +16,9 @@ import numpy as np
 from . import beamform, harness
 from .channel import sample_channel, substream
 
+# A start:stop:step grid is counted, and refused past this, before it is built.
+_MAX_GRID_POINTS = 10_000
+
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'; only
@@ -30,6 +33,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(round((stop - start) / step)) + 1
+        if count > _MAX_GRID_POINTS:
+            raise ValueError(f"SNR points of a start:stop:step grid number {count}, "
+                             f"over the limit of {_MAX_GRID_POINTS}: {text!r}")
         grid = tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
     else:
         grid = tuple(float(p) for p in text.split(",") if p.strip())
@@ -196,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--nt", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=16, help="grid levels for brute force")
+    p.add_argument("--levels", type=int, default=4,
+                   help="phase levels per element for brute force (levels^n <= 2^20)")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="run acceptance criteria 6-10")

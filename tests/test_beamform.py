@@ -5,7 +5,9 @@ import pytest
 
 from ris_ssk import beamform
 from ris_ssk.beamform import (
+    _anneal,
     _pair_rows,
+    _unit_rows,
     brute_force_beamform,
     intelligent_ris_phases,
     low_complexity_beamform,
@@ -206,8 +208,9 @@ class TestBruteForce:
 
     def test_budget_enforced(self):
         ch = _channel(8, 2, 53)
-        with pytest.raises(ValueError):
-            brute_force_beamform(ch, 16)  # 16^8 points, past the 2^20 limit
+        # 16^8 points, past the 2^20 limit; 5^8 fits and 6^8 does not
+        with pytest.raises(ValueError, match="levels of at most 5 fit"):
+            brute_force_beamform(ch, 16)
 
 
 class TestIntelligentPhases:
@@ -233,6 +236,127 @@ class TestIntelligentPhases:
         for _ in range(1000):
             psi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
             assert best >= abs(_gain(ch, psi, 1)) ** 2
+
+
+def _sq_norms(X):
+    return (X * X.conj()).real.sum(axis=-1)
+
+
+def _anneal_reference(A, X, scale, temps, step, iterations, tol):
+    """The ascent of beamform._anneal as plain complex arrays, merging each
+    state array at every step: the reference the kernel must match."""
+    n, B, r = X.shape
+    K = A.shape[0]
+    AH = np.ascontiguousarray(A.conj().T)
+
+    def softmin(Q, tau):
+        q = _sq_norms(Q)
+        lo = q.min(axis=0)
+        e = np.exp((lo - q) / tau)
+        total = e.sum(axis=0)
+        return lo - tau * np.log(total / K), e / total
+
+    Q = (A @ X.reshape(n, B * r)).reshape(K, B, r)
+    step = np.full(B, step)
+    taken = np.zeros(B, dtype=int)
+    for tau in temps:
+        s, w = softmin(Q, tau)
+        active = np.ones(B, dtype=bool)
+        for _ in range(iterations):
+            taken += active
+            grad = (AH @ (w[:, :, None] * Q).reshape(K, B * r)).reshape(n, B, r)
+            X_new = _unit_rows(X + step[:, None] * grad)
+            Q_new = (A @ X_new.reshape(n, B * r)).reshape(K, B, r)
+            s_new, w_new = softmin(Q_new, tau)
+            acc = active & (s_new >= s)
+            step = np.where(active, step * np.where(acc, 1.2, 0.5), step)
+            stop = (active ^ acc) & (step < 1e-14 / scale)
+            if tol:
+                stop |= acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12))
+            active ^= stop
+            X, Q = np.where(acc[:, None], X_new, X), np.where(acc[:, None], Q_new, Q)
+            w, s = np.where(acc, w_new, w), np.where(acc, s_new, s)
+            if not active.any():
+                break
+    return X, _sq_norms(Q), taken, ~active
+
+
+# (n, nt, B, r, relaxation?) problems for the kernel check, named by what
+# they cover.  Each is conditioned well enough for a 1e-9 comparison: the
+# reference moves by less than 1e-10 under a one-ulp change of its start.
+# (On problems where every candidate reaches the same optimum, such as the
+# polish at Nt=2, the accept tests near the top are ties, decided by rounding
+# and by any change of summation order.)
+ANNEAL_PROBLEMS = {
+    "relaxation": (16, 4, 3, 5, True),
+    "polish": (16, 4, 100, 1, False),
+    "two-antennas": (8, 2, 3, 3, True),
+    "one-problem-relaxation": (16, 4, 1, 5, True),
+    "one-problem-polish": (16, 4, 1, 1, False),
+}
+
+
+def _anneal_args(n, nt, B, r, relaxation, seed=2031):
+    ch = _channel(n, nt, seed)
+    A = _pair_rows(ch)
+    scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2))
+    z = substream(seed, 0, "sdr").standard_normal((2, n, B, r))
+    X = _unit_rows(z[0] + 1j * z[1])
+    if relaxation:
+        return A, X, scale, beamform._TEMPERATURES * scale, 1.0 / scale, beamform._SOLVER_ITERATIONS, 1e-8
+    return A, X, scale, beamform._POLISH_TEMPERATURES * scale, 0.5 / scale, beamform._POLISH_ITERATIONS, 0.0
+
+
+def _assert_same_ascent(got, want, rel):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+    np.testing.assert_array_equal(got[2], want[2])
+    np.testing.assert_array_equal(got[3], want[3])
+
+
+class TestAnnealKernel:
+    """The kernel's ascent equals the plain complex reference on the same data."""
+
+    @pytest.mark.parametrize("problem", ANNEAL_PROBLEMS.values(), ids=ANNEAL_PROBLEMS.keys())
+    def test_matches_complex_reference(self, problem):
+        args = _anneal_args(*problem)
+        want = _anneal_reference(*args)
+        nudged = _anneal_reference(args[0], args[1] * (1 + 2.0**-52), *args[2:])
+        _assert_same_ascent(nudged, want, 1e-10)
+        _assert_same_ascent(_anneal(*args), want, 1e-9)
+
+    @pytest.mark.parametrize("n,nt,seed", [(8, 2, 13), (4, 4, 43), (16, 4, 2026)])
+    def test_bit_identical_on_the_solver_inputs(self, n, nt, seed, monkeypatch):
+        # Which of two candidates that reach the same optimum wins is decided
+        # by rounding, so sweep outputs stay the same only if every iterate
+        # does.  The polish input arrives transposed in memory.
+        calls = []
+
+        def spy(*args):
+            calls.append((args, beamform_anneal(*args)))
+            return calls[-1][1]
+
+        beamform_anneal = beamform._anneal
+        monkeypatch.setattr(beamform, "_anneal", spy)
+        sdr_beamform(_channel(n, nt, seed), rng=substream(seed, 0, "sdr"))
+        assert len(calls) == 2 and not calls[1][0][1].flags.c_contiguous
+        for args, got in calls:
+            for a, b in zip(got, _anneal_reference(*args)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_zero_row_becomes_constant_like_reference(self):
+        # f_i = 0 zeroes column i of the pair rows, so a zero start row i has
+        # zero gradient and both kernels must map it to the constant row.
+        A, X, *rest = _anneal_args(6, 4, 3, 3, True)
+        A[:, 2] = 0
+        X[2] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _anneal(A, X, *rest)
+        want = _anneal_reference(A, X, *rest)
+        _assert_same_ascent(got, want, 1e-9)
+        np.testing.assert_allclose(got[0][2], np.full((3, 3), 3**-0.5), rtol=1e-15)
 
 
 # d_min reported by sdr_beamform at default options on (n, nt, seed, trial)
@@ -327,6 +451,27 @@ class TestSdrBeamform:
             rv = sdr_beamform(ch, rng=substream(1, 0, "sdr"))
         assert np.allclose(np.abs(rv.phi), 1.0)
         assert rv.diagnostics.d_min == 0.0
+
+    @pytest.mark.parametrize("dead", ["identical-columns", "zero-f"])
+    def test_degenerate_channel_gives_unit_modulus_and_finite_distance(self, dead):
+        ch = _channel(8, 4, 73)
+        if dead == "identical-columns":  # pair (0, 1) has a zero row: d_min is 0
+            G = ch.G.copy()
+            G[:, 1] = G[:, 0]
+            ch = ChannelRealization(G=G, f=ch.f)
+        else:
+            ch = ChannelRealization(G=ch.G, f=np.where(np.arange(8) % 3 == 0, 0, ch.f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rv = sdr_beamform(ch, rng=substream(73, 0, "sdr"))
+            d = min_pairwise_distance(ch, rv)
+        assert np.allclose(np.abs(rv.phi), 1.0, atol=1e-12)
+        assert np.isfinite(rv.diagnostics.d_min)
+        assert d == pytest.approx(rv.diagnostics.d_min, rel=1e-12, abs=1e-12)
+        if dead == "identical-columns":
+            assert d == pytest.approx(0.0, abs=1e-12)
+        else:
+            assert d > 0
 
     def test_deterministic_given_stream(self):
         ch = _channel(5, 4, 83)

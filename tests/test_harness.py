@@ -692,6 +692,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "relaxation_objective" in out
 
+    def test_optimize_brute_runs_at_its_defaults(self, capsys):
+        assert cli.main(["optimize", "--method", "brute"]) == 0
+        assert "d_min" in capsys.readouterr().out
+
+    def test_optimize_brute_refusal_names_the_levels_that_fit(self, capsys):
+        assert cli.main(["optimize", "--method", "brute", "--levels", "16"]) == 2
+        err = capsys.readouterr().err
+        assert "16^8 = 4294967296 evaluations" in err and "levels of at most 5 fit" in err
+
     def test_optimize_sdr_solver_line_says_what_it_counts(self, capsys):
         argv = ["optimize", "--method", "sdr", "--n", "16", "--nt", "4", "--seed", "3"]
         assert cli.main(argv) == 0
@@ -740,13 +749,15 @@ class TestCli:
         assert cli.main(["sweep", "--scheme", "pb", "--n", "8", "--nt", "4",
                          "--snr", "0", "--trials", "10", "--seed", "0"]) == 2
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001"])
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
                          f"--snr={snr}", "--trials", "10", "--seed", "0"]) == 2
         assert "SNR points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf"])
+    @pytest.mark.parametrize(
+        "snr", ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001"]
+    )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
         out, err = capsys.readouterr()
