@@ -278,7 +278,7 @@ def _anneal_reference(A, X, scale, temps, step, iterations, tol):
             w, s = np.where(acc, w_new, w), np.where(acc, s_new, s)
             if not active.any():
                 break
-    return X, _sq_norms(Q), taken, ~active
+    return X, _sq_norms(Q), taken, ~active, step
 
 
 # (n, nt, B, r, relaxation?) problems for the kernel check, named by what
@@ -307,12 +307,25 @@ def _anneal_args(n, nt, B, r, relaxation, seed=2031):
     return A, X, scale, beamform._POLISH_TEMPERATURES * scale, 0.5 / scale, beamform._POLISH_ITERATIONS, 0.0
 
 
+def _spy_anneal(monkeypatch):
+    """Record every (arguments, result) of beamform._anneal from now on."""
+    calls = []
+    anneal = beamform._anneal
+
+    def spy(*args):
+        calls.append((args, anneal(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(beamform, "_anneal", spy)
+    return calls
+
+
 def _assert_same_ascent(got, want, rel):
     for a, b in zip(got[:2], want[:2]):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
-    np.testing.assert_array_equal(got[2], want[2])
-    np.testing.assert_array_equal(got[3], want[3])
+    for a, b in zip(got[2:], want[2:]):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestAnnealKernel:
@@ -328,19 +341,15 @@ class TestAnnealKernel:
 
     @pytest.mark.parametrize("n,nt,seed", [(8, 2, 13), (4, 4, 43), (16, 4, 2026)])
     def test_bit_identical_on_the_solver_inputs(self, n, nt, seed, monkeypatch):
-        # Which of two candidates that reach the same optimum wins is decided
-        # by rounding, so sweep outputs stay the same only if every iterate
-        # does.  The polish input arrives transposed in memory.
-        calls = []
-
-        def spy(*args):
-            calls.append((args, beamform_anneal(*args)))
-            return calls[-1][1]
-
-        beamform_anneal = beamform._anneal
-        monkeypatch.setattr(beamform, "_anneal", spy)
+        # Sweep outputs stay the same only if every iterate does.  The
+        # relaxation is one call, the polish one per stage group of the race
+        # (survivors carry their own steps); its first input arrives
+        # transposed in memory.
+        calls = _spy_anneal(monkeypatch)
         sdr_beamform(_channel(n, nt, seed), rng=substream(seed, 0, "sdr"))
-        assert len(calls) == 2 and not calls[1][0][1].flags.c_contiguous
+        assert len(calls) == 1 + len(beamform._POLISH_RACE)
+        assert not calls[1][0][1].flags.c_contiguous
+        assert np.ndim(calls[2][0][4]) == 1
         for args, got in calls:
             for a, b in zip(got, _anneal_reference(*args)):
                 np.testing.assert_array_equal(a, b)
@@ -390,6 +399,70 @@ SDR_GOLDEN_DMIN = {
 # Mean d_min of sdr_beamform over the ten N=16, Nt=4 channels of seed 2029
 # under the longer 10 x 80 / 8 x 60 schedules.
 SDR_LONG_SCHEDULE_MEAN_DMIN = 97.2821235014889
+
+
+def _full_polish():
+    """A race that keeps every candidate through every polish stage."""
+    return ((len(beamform._POLISH_TEMPERATURES), beamform._ROUNDINGS),)
+
+
+def _solve(n, nt, seed, trial=0):
+    return sdr_beamform(_channel(n, nt, seed, trial), rng=substream(seed, trial, "sdr"))
+
+
+class TestPolishRace:
+    """The raced polish against one that takes every candidate all the way."""
+
+    @pytest.mark.parametrize("n,nt,seed", [(8, 2, 13), (4, 4, 43), (16, 4, 2026)])
+    def test_keeping_everyone_equals_one_call(self, n, nt, seed, monkeypatch):
+        got = []
+        for race in (_full_polish(), ((3, 100), (5, 100)), ((1, 100),) * 8):
+            monkeypatch.setattr(beamform, "_POLISH_RACE", race)
+            got.append(_solve(n, nt, seed))
+        for rv in got[1:]:
+            np.testing.assert_array_equal(rv.phi, got[0].phi)
+            assert rv.diagnostics == got[0].diagnostics
+
+    def test_raced_dmin_holds_against_full_polish(self, monkeypatch):
+        # 40 channels of a seed no golden uses
+        raced = np.array([_solve(16, 4, 2030, t).diagnostics.d_min for t in range(40)])
+        monkeypatch.setattr(beamform, "_POLISH_RACE", _full_polish())
+        full = np.array([_solve(16, 4, 2030, t).diagnostics.d_min for t in range(40)])
+        assert np.mean(raced / full) >= 0.99999
+        assert np.min(raced / full) >= 0.999
+
+    @pytest.mark.parametrize("rounding_count", [7, 8])
+    def test_fewer_candidates_than_survivors_all_run_on(self, rounding_count, monkeypatch):
+        monkeypatch.setattr(beamform, "_ROUNDINGS", rounding_count)
+        calls = _spy_anneal(monkeypatch)
+        raced = _solve(16, 4, 2030)
+        assert [args[1].shape[1] for args, _ in calls[1:]] == [rounding_count] * len(beamform._POLISH_RACE)
+        monkeypatch.setattr(beamform, "_POLISH_RACE", _full_polish())
+        full = _solve(16, 4, 2030)
+        np.testing.assert_array_equal(raced.phi, full.phi)
+        assert raced.diagnostics == full.diagnostics
+
+    @pytest.mark.parametrize("raced", [True, False], ids=["raced", "full-polish"])
+    def test_pick_survives_a_one_ulp_nudge(self, raced, monkeypatch):
+        # Polished candidates that reach one optimum agree only to rounding
+        # (at Nt=2 all of them do), so a one-ulp change of every polish
+        # result must leave the pick, and so the phases, where they were.
+        if not raced:
+            monkeypatch.setattr(beamform, "_POLISH_RACE", _full_polish())
+        anneal = beamform._anneal
+
+        def nudged(A, X, *rest):
+            out = anneal(A, X, *rest)
+            return (out[0] * (1 + 2.0**-52), *out[1:]) if X.shape[2] == 1 else out
+
+        for n, nt, seed in [(8, 2, 13), (4, 4, 12)]:
+            for t in range(20):
+                monkeypatch.setattr(beamform, "_anneal", anneal)
+                want = _solve(n, nt, seed, t)
+                monkeypatch.setattr(beamform, "_anneal", nudged)
+                got = _solve(n, nt, seed, t)
+                assert got.diagnostics.candidate_index == want.diagnostics.candidate_index
+                np.testing.assert_allclose(got.phi, want.phi, rtol=0, atol=1e-6)
 
 
 class TestSdrBeamform:
