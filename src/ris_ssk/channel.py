@@ -25,7 +25,7 @@ _PURPOSE_CODES = {
     "oracle": 3,
 }
 
-_TRIAL_LIMIT = 1 << 48
+TRIAL_LIMIT = 1 << 48
 SEED_LIMIT = 1 << 64
 
 
@@ -40,7 +40,7 @@ def _philox_key(seed: int, trial: int, purpose: str) -> np.ndarray:
     seed, trial = operator.index(seed), operator.index(trial)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    if not 0 <= trial < _TRIAL_LIMIT:
+    if not 0 <= trial < TRIAL_LIMIT:
         raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
     key = np.empty(2, dtype=np.uint64)
     key[0] = np.uint64(seed)
@@ -88,7 +88,7 @@ class StreamBank:
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
         trial = operator.index(trial)
-        if not 0 <= trial < _TRIAL_LIMIT:
+        if not 0 <= trial < TRIAL_LIMIT:
             raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
         self._key[1] = (trial << 16) | self._purpose
         self._bg.state = self._state

@@ -20,6 +20,7 @@ import numpy as np
 from . import analysis, astbc_link, beamform, pb_link
 from .channel import (
     SEED_LIMIT,
+    TRIAL_LIMIT,
     ChannelRealization,
     NoiseModel,
     StreamBank,
@@ -102,10 +103,21 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
         raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
 
 
+def _finite_linear(snr_db: float) -> bool:
+    """Whether the linear SNR 10^(s/10) and the noise variance 10^(-s/10)
+    of a finite point are both finite, nonzero floats (|s| below about
+    3082 dB); past that a point would overflow or run noiseless."""
+    try:
+        return all(0.0 < 10.0 ** (s / 10.0) < math.inf for s in (snr_db, -snr_db))
+    except OverflowError:
+        return False
+
+
 def _snr_grid(grid) -> tuple[float, ...]:
     """The SNR grid rule that sweeps and theory curves share: a nonempty,
     strictly increasing sequence of real, non-bool numbers above -inf dB
-    (+inf is noiseless), returned as floats."""
+    (+inf is noiseless) whose finite points have a finite, nonzero linear
+    SNR and noise variance, returned as floats."""
     # A string would sweep its characters and True would sweep 1 dB.
     points = None if isinstance(grid, (str, bytes)) else tuple(grid)
     if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
@@ -115,6 +127,8 @@ def _snr_grid(grid) -> tuple[float, ...]:
         raise ConfigError("SNR grid must be nonempty")
     if any(math.isnan(s) or s == -math.inf for s in points):
         raise ConfigError("SNR points must be numbers above -inf dB (+inf is noiseless)")
+    if not all(s == math.inf or _finite_linear(s) for s in points):
+        raise ConfigError("SNR points must have a finite, nonzero linear value (|snr| below about 3082 dB)")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ConfigError("SNR grid must be strictly increasing")
     return points
@@ -159,6 +173,9 @@ class SimConfig:
         _snr_grid(self.snr_db_grid)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.trials * len(self.snr_db_grid) > TRIAL_LIMIT:
+            # point i runs trial indices [i * trials, (i + 1) * trials)
+            raise ConfigError("trials times the number of SNR points must be at most 2^48")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError("seed must be in [0, 2^64)")
         if self.workers < 1:
@@ -194,28 +211,36 @@ def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
 
 
 # Element cap of one chunk of trials: a chunk holds as many trials as fit
-# this many elements in its largest per-trial array (at least one), so
-# memory stays bounded whatever the trial count or Nt * M^2.
+# this many elements per trial as ``_trial_elements`` counts them (at least
+# one), so memory stays bounded whatever the trial count or Nt * M^2.
 _CHUNK_ELEMENTS = 1 << 16
 
-# The candidate-set beamformer's (pairs, N) temporaries, counted this many
-# times against the cap, so each one holds about 2^14 complex elements
-# a chunk.  Against 2^16-element temporaries this cut the kernel's time per
-# trial by 9% at N=16, Nt=4 and 36% at N=64, Nt=8 (2-vCPU Xeon).
-_CANDIDATE_TEMPORARIES = 4
+# The surface schemes' kernels hold about this many (rows, N) complex arrays
+# per trial at once: G, f and the coefficients, then the alignment and gain
+# temporaries.  Each counts against the cap, so a pb or intelligent-ris-ssk
+# chunk at N=64, Nt=2 holds 128 trials (1.0 and 1.4 MB traced a sweep,
+# against 3.7 and 5.0 MB when only G counted), and each of
+# pb-lowcomplexity's (pairs, N) candidate temporaries holds about 2^14
+# elements (9% faster a trial than 2^16 at N=16, Nt=4 and 36% at N=64,
+# Nt=8, 2-vCPU Xeon).
+_LIVE_TEMPORARIES = 4
 
 
 def _trial_elements(cfg: SimConfig) -> int:
-    """Elements of the largest per-trial array the scheme's kernel builds;
-    pb-lowcomplexity's candidate set counts once per live temporary."""
+    """Elements a trial of the scheme's kernel holds: the largest per-trial
+    array on the coded and direct-link branches, every live (rows, N)
+    temporary on the surface schemes."""
     n, nt, m = cfg.n, cfg.nt, cfg.m
     if cfg.scheme in _ASTBC_SCHEMES:
         metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
         return max(channel_draw_size(n, nt), metric)
     if cfg.scheme == "traditional-ssk":
         return channel_draw_size(0, nt, with_direct=True)
-    pairs = nt * (nt - 1) // 2 if cfg.scheme == "pb-lowcomplexity" else 0
-    return max(max(n, nt) * nt, _CANDIDATE_TEMPORARIES * n * pairs)
+    if cfg.scheme == "pb-lowcomplexity":
+        return _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2)
+    # intelligent-ris-ssk's (Nt, Nt) gain table outgrows the (Nt, N) arrays
+    # once Nt > N
+    return _LIVE_TEMPORARIES * max(n, nt) * nt
 
 
 def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
@@ -286,6 +311,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         coeff = np.empty((chunk, n), dtype=complex)
     sent = np.empty((chunk, 1), dtype=np.int64)
     y = np.empty(chunk, dtype=complex)
+    rows = np.arange(chunk)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
         if direct:
@@ -313,7 +339,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
             l = raw_indices(rng.bit_generator.random_raw(), nt)
             sent[t] = l
             y[t] = pb_link.transmit_pb(table[t, l], l, noise, rng)
-        gains = table[np.arange(b), sent[:b, 0]]
+        gains = table[rows[:b], sent[:b, 0]]
         yield sent[:b], pb_link.detect_pb_ml(y[:b], gains)[:, None]
 
 

@@ -77,6 +77,12 @@ class TestConfigValidation:
             dict(workers=1.5),
             dict(target_errors=3.5),
             dict(n=True),
+            # 10^(s/10) overflows or the noise variance underflows to zero
+            dict(snr_db_grid=(4000.0,)),
+            dict(snr_db_grid=(-4000.0,)),
+            dict(snr_db_grid=(-10.0, 3500.0)),
+            # point 1 would reach trial index 2^48
+            dict(trials=2**47 + 1, snr_db_grid=(0.0, 1.0)),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -92,6 +98,10 @@ class TestConfigValidation:
         # "05" used to sweep 0 dB and 5 dB, one per character; True swept 1 dB
         with pytest.raises(ConfigError, match="real numbers"):
             _cfg(snr_db_grid=grid)
+
+    def test_accepts_edges_of_the_snr_and_trial_limits(self):
+        _cfg(snr_db_grid=(-3082.5, 3082.5, math.inf)).validate()
+        _cfg(trials=2**47, snr_db_grid=(0.0, 1.0)).validate()
 
     def test_accepts_numpy_grid(self):
         cfg = _cfg(snr_db_grid=np.array([-14, -10.5]))
@@ -296,7 +306,7 @@ class TestCodedKernel:
         # traditional-ssk counts were recorded again when its channel stream
         # came to hold only the 2·Nt direct-link normals, after they matched
         # the scalar reference of TestPbKernel on the same draws and a
-        # workers=2 run.  The N=64 pb point spans ten chunks.
+        # workers=2 run.  The N=64 pb point spans forty chunks.
         records = run_ber_sweep(_cfg(**{"trials": 2000, **kw}))
         assert [(r.source_errors, r.ris_errors) for r in records] == want
 
@@ -324,6 +334,37 @@ class TestCodedKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, cfg.scheme
+
+    @pytest.mark.parametrize("scheme", ["pb", "intelligent-ris-ssk"])
+    def test_surface_chunks_count_live_temporaries(self, scheme):
+        # a chunk held 512 trials (3.7 and 5.0 MB traced) while only G counted
+        cfg = _cfg(scheme=scheme, n=64, snr_db_grid=(0.0,), trials=2000)
+        run_ber_sweep(_cfg(scheme=scheme, n=64, snr_db_grid=(0.0,), trials=1))  # lazy imports
+        tracemalloc.start()
+        try:
+            run_ber_sweep(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "kw, want",
+        [
+            (dict(scheme="astbc-optimal", n=64, nt=2, m=2), 170),
+            (dict(scheme="astbc-fast", n=64, nt=4, m=4), 102),
+            (dict(scheme="pb-lowcomplexity", n=16, nt=4), 170),
+            (dict(scheme="pb", n=64, nt=2), 128),
+            (dict(scheme="intelligent-ris-ssk", n=64, nt=2), 128),
+        ],
+    )
+    def test_chunk_sizes(self, kw, want):
+        # the coded and candidate-set chunks lose time per trial when smaller
+        # (a blanket 2^14-element cap cost astbc-sweep about 10% of its trials/s)
+        cfg = _cfg(**kw)
+        chunks = harness._coded_chunks if cfg.m is not None else harness._pb_chunks
+        sizes = [len(s) for s, _ in chunks(cfg, NoiseModel(0.0), 0, 400)]
+        assert sizes[0] == want
 
 
 def _zero_link_on_call(at):
@@ -757,19 +798,30 @@ class TestCli:
         assert cli.main(["sweep", "--scheme", "pb", "--n", "8", "--nt", "4",
                          "--snr", "0", "--trials", "10", "--seed", "0"]) == 2
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001"])
+    @pytest.mark.parametrize(
+        "snr", ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500"]
+    )
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
                          f"--snr={snr}", "--trials", "10", "--seed", "0"]) == 2
         assert "SNR points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "snr", ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001"]
+        "snr", ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000"]
     )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
         out, err = capsys.readouterr()
         assert "SNR" in err and out == ""
+
+    def test_trial_index_limit_checked_before_any_point(self, monkeypatch, capsys):
+        # used to run three points, then fail at the fourth's first trial index
+        monkeypatch.setattr(harness, "_run_point", lambda *a: pytest.fail("a point ran"))
+        args = ["sweep", "--scheme", "pb", "--n", "8", "--nt", "2", "--snr=-30,-29,-28,-27",
+                "--trials", str(10**14), "--target-errors", "5", "--seed", "0"]
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert "2^48" in err and out == ""
 
     def test_validate_fast_passes(self, capsys):
         assert cli.main(["validate", "--level", "fast"]) == 0
