@@ -91,10 +91,14 @@ def q_chiani(x):
 
 def mgf_noncentral_chisq(s: float, params: GaussianApproxParams) -> float:
     """MGF of v^2 for Gaussian v: one noncentral chi-square degree of freedom."""
-    denom = 1.0 - 2.0 * params.sigma_v2 * s
+    with np.errstate(over="ignore"):
+        denom = 1.0 - 2.0 * params.sigma_v2 * s
+        exponent = params.a2 * s
     if denom <= 0:
         raise ValueError("MGF argument beyond the pole: need 1 - 2 sigma_v^2 s > 0")
-    return float(denom**-0.5 * np.exp(params.a2 * s / denom))
+    if denom == np.inf or exponent == -np.inf:
+        return 0.0  # the limit as s -> -inf, reached once a term overflows
+    return float(denom**-0.5 * np.exp(exponent / denom))
 
 
 def abep_pb_two_tx(q: AbepQuery) -> float:
@@ -122,6 +126,8 @@ def psk_g(i: int, m: int) -> float:
 
 def _diversity_kernel(gamma: float) -> float:
     # E{Q(sqrt(rho x / 2))} for the 4-dof chi-square with per-branch mean gamma
+    if gamma == np.inf:
+        return 0.0  # the limit, where gamma / (2 + gamma) would be nan
     p = 0.5 * (1.0 - np.sqrt(gamma / (2.0 + gamma)))
     return float(3.0 * p**2 - 2.0 * p**3)
 

@@ -72,12 +72,9 @@ def coded_slots(h1, h2, a1, a2):
 def ml_costs(y1, y2, h1, h2, m: int) -> np.ndarray:
     """Residual ||y - C h_l||^2 for every (l, k1, k2), shaped (..., Nt, M, M)."""
     psk = psk_symbols(m)
-    a1 = psk[:, None]
-    a2 = psk[None, :]
-    g1 = h1[..., None, None]
-    g2 = h2[..., None, None]
-    s1 = np.asarray(y1)[..., None, None, None] - (a1 * g1 + a2 * g2)
-    s2 = np.asarray(y2)[..., None, None, None] - (-np.conj(a2) * g1 + np.conj(a1) * g2)
+    c1, c2 = coded_slots(h1[..., None, None], h2[..., None, None], psk[:, None], psk[None, :])
+    s1 = np.asarray(y1)[..., None, None, None] - c1
+    s2 = np.asarray(y2)[..., None, None, None] - c2
     return np.abs(s1) ** 2 + np.abs(s2) ** 2
 
 

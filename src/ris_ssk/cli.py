@@ -62,8 +62,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
-_SETTINGS = ("scheme", "snr", "out") + _INT_KEYS
+_SETTINGS = ("scheme", "snr", "out") + harness._INT_FIELDS
 _REQUIRED = ("scheme", "n", "nt", "snr", "trials", "seed")
 
 
@@ -86,9 +85,8 @@ def _build_sim_config(args) -> tuple[harness.SimConfig, str | None]:
     cfg = harness.SimConfig(
         scheme=scheme,
         snr_db_grid=grid,
-        **{k: int(raw[k]) for k in _INT_KEYS if k in raw},
+        **{k: int(raw[k]) for k in harness._INT_FIELDS if k in raw},
     )
-    cfg.validate()
     return cfg, raw.get("out")
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,25 +47,6 @@ _ASTBC_SCHEMES = ("astbc-fast", "astbc-optimal")
 # Early-stop bookkeeping interval, fixed so results never depend on the
 # worker count.
 _STOP_CHECK_EVERY = 10_000
-
-CSV_COLUMNS = (
-    "scheme",
-    "n",
-    "nt",
-    "m",
-    "snr_db",
-    "trials",
-    "source_errors",
-    "ris_errors",
-    "ber_source",
-    "ber_ris",
-    "analytic_source",
-    "analytic_ris",
-    "seed",
-    "wall_time_s",
-)
-
-_INT_COLUMNS = {"n", "nt", "m", "trials", "source_errors", "ris_errors", "seed"}
 
 
 class ConfigError(ValueError):
@@ -103,21 +84,17 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
         raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
 
 
-def _finite_linear(snr_db: float) -> bool:
-    """Whether the linear SNR 10^(s/10) and the noise variance 10^(-s/10)
-    of a finite point are both finite, nonzero floats (|s| below about
-    3082 dB); past that a point would overflow or run noiseless."""
-    try:
-        return all(0.0 < 10.0 ** (s / 10.0) < math.inf for s in (snr_db, -snr_db))
-    except OverflowError:
-        return False
+# Finite SNR points lie within +-3000 dB: a noise variance of at most 1e300
+# keeps every squared distance the detectors form finite, and one of at least
+# 1e-300 keeps the noise nonzero.
+_SNR_LIMIT_DB = 3000.0
 
 
 def _snr_grid(grid) -> tuple[float, ...]:
     """The SNR grid rule that sweeps and theory curves share: a nonempty,
     strictly increasing sequence of real, non-bool numbers above -inf dB
-    (+inf is noiseless) whose finite points have a finite, nonzero linear
-    SNR and noise variance, returned as floats."""
+    (+inf is noiseless) whose finite points lie within +-3000 dB, returned
+    as floats."""
     # A string would sweep its characters and True would sweep 1 dB.
     points = None if isinstance(grid, (str, bytes)) else tuple(grid)
     if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
@@ -127,22 +104,24 @@ def _snr_grid(grid) -> tuple[float, ...]:
         raise ConfigError("SNR grid must be nonempty")
     if any(math.isnan(s) or s == -math.inf for s in points):
         raise ConfigError("SNR points must be numbers above -inf dB (+inf is noiseless)")
-    if not all(s == math.inf or _finite_linear(s) for s in points):
-        raise ConfigError("SNR points must have a finite, nonzero linear value (|snr| below about 3082 dB)")
+    if not all(s == math.inf or abs(s) <= _SNR_LIMIT_DB for s in points):
+        raise ConfigError(f"finite SNR points must lie within +-{_SNR_LIMIT_DB:g} dB")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ConfigError("SNR grid must be strictly increasing")
     return points
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One sweep: a scheme, its dimensions, an SNR grid, and a trial count.
 
-    ``trials`` is the most trials a point runs; when ``target_errors`` is
-    set the point stops early once every counted bit stream has accumulated
-    that many errors (checked at a fixed interval).  ``m`` (astbc schemes
-    only) is rejected for the schemes that do not use it.
-    ``record_wall_time`` is off by default so identical configurations
+    Every rule is checked when the config is built, which raises
+    :class:`ConfigError` for an invalid one; a built config is valid and
+    frozen.  ``trials`` is the most trials a point runs; when
+    ``target_errors`` is set the point stops early once every counted bit
+    stream has accumulated that many errors (checked at a fixed interval).
+    ``m`` (astbc schemes only) is rejected for the schemes that do not use
+    it.  ``record_wall_time`` is off by default so identical configurations
     produce byte-identical output files.
     """
 
@@ -162,15 +141,12 @@ class SimConfig:
         for name in _INT_FIELDS:
             v = getattr(self, name)
             if isinstance(v, np.integer):
-                setattr(self, name, int(v))
-        self.snr_db_grid = _snr_grid(self.snr_db_grid)
-
-    def validate(self) -> None:
+                object.__setattr__(self, name, int(v))
+        object.__setattr__(self, "snr_db_grid", _snr_grid(self.snr_db_grid))
         _require_integers(
             trials=self.trials, seed=self.seed, workers=self.workers, target_errors=self.target_errors
         )
         _check_dimensions(self.scheme, self.n, self.nt, self.m)
-        _snr_grid(self.snr_db_grid)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.trials * len(self.snr_db_grid) > TRIAL_LIMIT:
@@ -202,6 +178,21 @@ class BerRecord:
     analytic_ris: float | None
     seed: int
     wall_time_s: float | None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BerRecord))
+
+_INT_COLUMNS = {"n", "nt", "m", "trials", "source_errors", "ris_errors", "seed"}
+
+
+def _record(scheme: str, n: int, nt: int, m: int | None, snr_db: float, **cells) -> BerRecord:
+    """The record of one point, with the closed-form pair filled in; BER
+    cells that ``cells`` leaves out mirror the closed form."""
+    a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
+    cells = {"ber_source": a_src, "ber_ris": a_ris, **cells}
+    return BerRecord(
+        scheme=scheme, n=n, nt=nt, m=m, snr_db=snr_db, analytic_source=a_src, analytic_ris=a_ris, **cells
+    )
 
 
 def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
@@ -354,10 +345,6 @@ def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tupl
     return src_err, ris_err
 
 
-def _count_trials_star(args):
-    return _count_trials(*args)
-
-
 def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
     sizes = [count // parts + (1 if i < count % parts else 0) for i in range(parts)]
     out, at = [], start
@@ -376,8 +363,8 @@ def _run_point(
     def run_block(start: int, count: int) -> tuple[int, int]:
         if pool is None or count < 2 * cfg.workers:
             return _count_trials(cfg, snr_db, start, count)
-        parts = pool.map(
-            _count_trials_star,
+        parts = pool.starmap(
+            _count_trials,
             [(cfg, snr_db, a, c) for a, c in _split_range(start, count, cfg.workers)],
         )
         return tuple(int(sum(col)) for col in zip(*parts))
@@ -409,8 +396,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     [i * trials, i * trials + run)), so every point's randomness is
     independent of every other's and of the worker count.
     """
-    cfg.validate()
     b_src, b_ris = _bits_per_trial(cfg.scheme, cfg.nt, cfg.m)
+    is_astbc = cfg.scheme in _ASTBC_SCHEMES
     records: list[BerRecord] = []
     pool = None
     try:
@@ -422,24 +409,14 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
             t0 = time.perf_counter() if cfg.record_wall_time else None
             src_err, ris_err, done = _run_point(cfg, snr_db, i * cfg.trials, pool)
             wall = time.perf_counter() - t0 if t0 is not None else None
-            a_src, a_ris = analysis.analytic_abep(
-                cfg.scheme, 10.0 ** (snr_db / 10.0), cfg.n, cfg.nt, cfg.m
-            )
-            is_astbc = cfg.scheme in _ASTBC_SCHEMES
             records.append(
-                BerRecord(
-                    scheme=cfg.scheme,
-                    n=cfg.n,
-                    nt=cfg.nt,
-                    m=cfg.m if is_astbc else None,
-                    snr_db=snr_db,
+                _record(
+                    cfg.scheme, cfg.n, cfg.nt, cfg.m, snr_db,
                     trials=done,
                     source_errors=src_err,
                     ris_errors=ris_err if is_astbc else None,
                     ber_source=src_err / (done * b_src),
                     ber_ris=ris_err / (done * b_ris) if is_astbc else None,
-                    analytic_source=a_src,
-                    analytic_ris=a_ris,
                     seed=cfg.seed,
                     wall_time_s=wall,
                 )
@@ -460,28 +437,10 @@ def analytic_sweep(
     """
     _check_dimensions(scheme, n, nt, m)
     n, nt, m = int(n), int(nt), None if m is None else int(m)
-    records = []
-    for snr_db in _snr_grid(snr_db_grid):
-        a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
-        records.append(
-            BerRecord(
-                scheme=scheme,
-                n=n,
-                nt=nt,
-                m=m if scheme in _ASTBC_SCHEMES else None,
-                snr_db=snr_db,
-                trials=0,
-                source_errors=0,
-                ris_errors=None,
-                ber_source=a_src,
-                ber_ris=a_ris,
-                analytic_source=a_src,
-                analytic_ris=a_ris,
-                seed=0,
-                wall_time_s=None,
-            )
-        )
-    return records
+    return [
+        _record(scheme, n, nt, m, snr_db, trials=0, source_errors=0, ris_errors=None, seed=0, wall_time_s=None)
+        for snr_db in _snr_grid(snr_db_grid)
+    ]
 
 
 def estimate_diversity_slope(records: list[BerRecord]) -> float:

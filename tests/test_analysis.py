@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,6 +16,7 @@ from ris_ssk.analysis import (
     abep_ris_asymptotic,
     abep_source,
     abep_source_asymptotic,
+    analytic_abep,
     mgf_noncentral_chisq,
     pep_astbc,
     psk_demod_abep,
@@ -254,6 +257,18 @@ class TestAsymptotics:
             ratios.append(abep_source_asymptotic(q) / abep_source(q))
         assert all(abs(r - 1) >= abs(r2 - 1) for r, r2 in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1) < 1e-3
+
+
+class TestExtremeSnr:
+    @pytest.mark.parametrize("scheme, m", [("pb", None), ("astbc-optimal", 2)])
+    @pytest.mark.parametrize("n", [8, 10**12])
+    def test_closed_forms_stay_finite(self, scheme, m, n):
+        # 3000 dB: the pole term or the exponent overflows for large n, and
+        # the closed forms return their limit instead of nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [v for v in analytic_abep(scheme, 1e300, n, 2, m) if v is not None]
+        assert values and all(0.0 <= v <= 0.5 for v in values)
 
 
 class TestAbepQueryValidation:

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -39,7 +39,15 @@ def _cfg(**kw):
 
 class TestConfigValidation:
     def test_accepts_valid(self):
-        _cfg().validate()
+        _cfg()
+
+    def test_is_frozen_and_replaceable(self):
+        cfg = _cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.trials = 5
+        assert dataclasses.replace(cfg, trials=5).trials == 5
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, trials=0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -77,7 +85,10 @@ class TestConfigValidation:
             dict(workers=1.5),
             dict(target_errors=3.5),
             dict(n=True),
-            # 10^(s/10) overflows or the noise variance underflows to zero
+            # past +-3000 dB: at -3082.5 dB the detectors' squared
+            # distances overflow; past about 3082 dB 10^(s/10) overflows
+            dict(snr_db_grid=(3000.5,)),
+            dict(snr_db_grid=(-3082.5,)),
             dict(snr_db_grid=(4000.0,)),
             dict(snr_db_grid=(-4000.0,)),
             dict(snr_db_grid=(-10.0, 3500.0)),
@@ -87,7 +98,7 @@ class TestConfigValidation:
     )
     def test_rejects_invalid(self, kw):
         with pytest.raises(ConfigError):
-            _cfg(**kw).validate()
+            _cfg(**kw)
 
     @pytest.mark.parametrize(
         "grid",
@@ -100,8 +111,8 @@ class TestConfigValidation:
             _cfg(snr_db_grid=grid)
 
     def test_accepts_edges_of_the_snr_and_trial_limits(self):
-        _cfg(snr_db_grid=(-3082.5, 3082.5, math.inf)).validate()
-        _cfg(trials=2**47, snr_db_grid=(0.0, 1.0)).validate()
+        _cfg(snr_db_grid=(-3000.0, 3000.0, math.inf))
+        _cfg(trials=2**47, snr_db_grid=(0.0, 1.0))
 
     def test_accepts_numpy_grid(self):
         cfg = _cfg(snr_db_grid=np.array([-14, -10.5]))
@@ -367,20 +378,6 @@ class TestCodedKernel:
         assert sizes[0] == want
 
 
-def _zero_link_on_call(at):
-    """sample_channel that returns a link with f = 0 on its call number
-    ``at``: every gain of that trial is zero."""
-    calls = itertools.count()
-
-    def sample(n, nt, rng):
-        ch = sample_channel(n, nt, rng)
-        if next(calls) == at:
-            ch.f[:] = 0
-        return ch
-
-    return sample
-
-
 class _Zeros:
     """Stand-in generator whose normals are all zero."""
 
@@ -393,7 +390,7 @@ class _Zeros:
 
 def _zero_channel_at(trial):
     """StreamBank whose channel stream draws only zeros at one trial index:
-    every direct link of that trial is zero."""
+    every link of that trial, reflected or direct, is zero."""
 
     class Bank(StreamBank):
         def __init__(self, seed, purpose):
@@ -410,10 +407,9 @@ def _zero_channel_at(trial):
 def _pb_reference(cfg, snr_db, start, count, zero_at):
     """Per-trial (sent, detected) from a plain scalar loop over the one-trial
     beamformers: gains summed element by element, nearest gain by ``min``.
-    Trial ``start + zero_at`` has every gain zero."""
+    Trial ``start + zero_at`` draws an all-zero channel, so every gain is zero."""
     noise = NoiseModel.from_snr_db(snr_db)
     beamformers = {"pb": beamform.optimal_two_tx, "pb-lowcomplexity": beamform.low_complexity_beamform}
-    sample = _zero_link_on_call(zero_at)
     bank = _zero_channel_at(start + zero_at)(cfg.seed, "channel")
     out = []
     for k in range(start, start + count):
@@ -424,7 +420,7 @@ def _pb_reference(cfg, snr_db, start, count, zero_at):
             z = bank.trial(k).standard_normal(2 * cfg.nt)
             gains = [complex(z[2 * a], z[2 * a + 1]) / math.sqrt(2) for a in range(cfg.nt)]
         else:
-            ch = sample(cfg.n, cfg.nt, substream(cfg.seed, k, "channel"))
+            ch = sample_channel(cfg.n, cfg.nt, bank.trial(k))
             if cfg.scheme == "intelligent-ris-ssk":
                 phi = beamform.intelligent_ris_phases(ch)[l]
             elif cfg.scheme == "pb-sdr":
@@ -454,10 +450,7 @@ class TestPbKernel:
         want = _pb_reference(cfg, snr_db, 900, count, zero_at)
         # chunks of 7 trials: several full chunks and a partial last one
         monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * harness._trial_elements(cfg))
-        if scheme == "traditional-ssk":  # draws its links without sample_channel
-            monkeypatch.setattr(harness, "StreamBank", _zero_channel_at(900 + zero_at))
-        else:
-            monkeypatch.setattr(harness, "sample_channel", _zero_link_on_call(zero_at))
+        monkeypatch.setattr(harness, "StreamBank", _zero_channel_at(900 + zero_at))
         noise = NoiseModel.from_snr_db(snr_db)
         got = [
             (int(s), int(d))
@@ -530,7 +523,7 @@ class TestAnalyticSweep:
     )
     def test_applies_sweep_dimension_rules(self, scheme, n, nt, m):
         with pytest.raises(ConfigError):
-            _cfg(scheme=scheme, n=n, nt=nt, m=m).validate()
+            _cfg(scheme=scheme, n=n, nt=nt, m=m)
         with pytest.raises(ConfigError):
             analytic_sweep(scheme, n, nt, m, [0.0])
 
@@ -542,7 +535,7 @@ class TestAnalyticSweep:
     def test_applies_sweep_grid_rules(self, grid):
         # [True] used to compute 1 dB, nan printed "source=n/a", "05" raised TypeError
         with pytest.raises(ConfigError):
-            _cfg(snr_db_grid=grid).validate()
+            _cfg(snr_db_grid=grid)
         with pytest.raises(ConfigError):
             analytic_sweep("pb", 8, 2, None, grid)
 
