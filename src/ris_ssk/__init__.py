@@ -18,7 +18,6 @@ from .astbc_link import (
     detect_fast,
     detect_ml,
     sub_surface_sums,
-    transmit_astbc,
 )
 from .beamform import (
     ReflectionVector,

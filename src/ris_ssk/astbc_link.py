@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseModel, sample_awgn
+# Unused here; perfbench's tracer is its only reader, wrapping it under this module.
+from .channel import sample_awgn
 
 _TWO_PI = 2.0 * np.pi
 
@@ -123,26 +124,3 @@ def combine(y1, y2, h1, h2):
     r2 = y1 * np.conj(h2) - np.conj(y2) * h1
     return r1, r2
 
-
-def transmit_astbc(
-    ch: ChannelRealization,
-    l: int,
-    k1: int,
-    k2: int,
-    m: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[complex, complex]:
-    """Two received slots (see :func:`coded_slots`) plus AWGN for one trial:
-    antenna ``l`` active, sub-surface phases ``k1``, ``k2`` of the M-ary
-    alphabet."""
-    if not 0 <= l < ch.nt:
-        raise IndexError(f"antenna index {l} out of range 0..{ch.nt - 1}")
-    if not (0 <= k1 < m and 0 <= k2 < m):
-        raise IndexError(f"phase indices ({k1}, {k2}) out of range 0..{m - 1}")
-    h1, h2 = sub_surface_sums(ch.G, ch.f)
-    w1 = sample_awgn(noise, rng)
-    w2 = sample_awgn(noise, rng)
-    psk = psk_symbols(m)
-    y1, y2 = coded_slots(h1[l], h2[l], psk[k1], psk[k2])
-    return y1 + w1, y2 + w2

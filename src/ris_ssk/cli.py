@@ -32,7 +32,11 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"SNR points of a start:stop:step grid must be finite: {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if not np.isfinite(steps):
+            raise ValueError(f"SNR points of a start:stop:step grid cannot be counted: "
+                             f"(stop - start) / step overflows: {text!r}")
+        count = int(round(steps)) + 1
         if count > _MAX_GRID_POINTS:
             raise ValueError(f"SNR points of a start:stop:step grid number {count}, "
                              f"over the limit of {_MAX_GRID_POINTS}: {text!r}")

@@ -12,12 +12,12 @@ from ris_ssk.astbc_link import (
     psk_phases,
     psk_symbols,
     sub_surface_sums,
-    transmit_astbc,
 )
 from ris_ssk.channel import (
     NoiseModel,
     StreamBank,
     channel_draw_size,
+    sample_awgn,
     sample_channel,
     split_channel_draws,
     substream,
@@ -27,6 +27,20 @@ from ris_ssk.harness import _bits_per_trial
 
 def _sums(ch):
     return sub_surface_sums(ch.G, ch.f)
+
+
+def _slots(ch, l, k1, k2, m):
+    """Noiseless received slots of one trial: antenna ``l`` active,
+    sub-surface phase indices ``k1``, ``k2`` of the M-ary alphabet."""
+    h1, h2 = _sums(ch)
+    psk = psk_symbols(m)
+    return coded_slots(h1[l], h2[l], psk[k1], psk[k2])
+
+
+def _noisy_slots(ch, l, k1, k2, m, noise, rng):
+    """One trial's slots plus two noise samples drawn from ``rng``."""
+    y1, y2 = _slots(ch, l, k1, k2, m)
+    return y1 + sample_awgn(noise, rng), y2 + sample_awgn(noise, rng)
 
 
 def _detect(detector, y1, y2, ch, m):
@@ -39,7 +53,7 @@ class TestRisBitMapping:
         # phase index 0 is phase 0 and index 1 is pi
         ch = sample_channel(8, 2, substream(15, 0))
         h1, h2 = _sums(ch)
-        y1, y2 = transmit_astbc(ch, 0, 0, 1, 2, NoiseModel(0.0), substream(15, 1, "data"))
+        y1, y2 = _slots(ch, 0, 0, 1, 2)
         want = code_matrix(0.0, np.pi) @ np.array([h1[0], h2[0]])
         assert (y1, y2) == pytest.approx(tuple(want))
 
@@ -49,14 +63,10 @@ class TestRisBitMapping:
             ch = sample_channel(8, 2, substream(16, m))
             for k1 in range(m):
                 for k2 in range(m):
-                    y1, y2 = transmit_astbc(ch, 1, k1, k2, m, NoiseModel(0.0), substream(16, 1, "data"))
+                    y1, y2 = _slots(ch, 1, k1, k2, m)
                     assert _detect(detect_ml, y1, y2, ch, m) == (1, k1, k2)
 
     def test_length_and_value_errors(self):
-        ch = sample_channel(4, 2, substream(17, 0))
-        for k1, k2 in ((4, 0), (0, -1)):
-            with pytest.raises(IndexError):
-                transmit_astbc(ch, 0, k1, k2, 4, NoiseModel(0.0), substream(17, 1, "data"))
         with pytest.raises(ValueError):
             psk_phases(3)
 
@@ -65,7 +75,7 @@ class TestTransmit:
     def test_noiseless_zero_phases(self):
         ch = sample_channel(8, 2, substream(1, 0))
         h1, h2 = _sums(ch)
-        y1, y2 = transmit_astbc(ch, 0, 0, 0, 2, NoiseModel(0.0), substream(1, 1, "data"))
+        y1, y2 = _slots(ch, 0, 0, 0, 2)
         assert y1 == pytest.approx(h1[0] + h2[0])
         assert y2 == pytest.approx(-h1[0] + h2[0])
 
@@ -78,30 +88,24 @@ class TestTransmit:
     def test_noiseless_energy_identity(self):
         ch = sample_channel(10, 2, substream(2, 0))
         h1, h2 = _sums(ch)
-        y1, y2 = transmit_astbc(ch, 1, 1, 3, 4, NoiseModel(0.0), substream(2, 1, "data"))
+        y1, y2 = _slots(ch, 1, 1, 3, 4)
         want = 2 * (abs(h1[1]) ** 2 + abs(h2[1]) ** 2)
         assert abs(y1) ** 2 + abs(y2) ** 2 == pytest.approx(want)
 
     def test_matrix_form_matches_slot_equations(self):
         ch = sample_channel(6, 2, substream(3, 0))
         h1, h2 = _sums(ch)
-        y1, y2 = transmit_astbc(ch, 0, 2, 5, 8, NoiseModel(0.0), substream(3, 1, "data"))
+        y1, y2 = _slots(ch, 0, 2, 5, 8)
         alphas = psk_phases(8)
         C = code_matrix(float(alphas[2]), float(alphas[5]))
         want = C @ np.array([h1[0], h2[0]])
         assert y1 == pytest.approx(want[0])
         assert y2 == pytest.approx(want[1])
 
-    def test_antenna_index_range_checked(self):
-        ch = sample_channel(4, 2, substream(4, 0))
-        for l in (-1, 2):
-            with pytest.raises(IndexError):
-                transmit_astbc(ch, l, 0, 0, 2, NoiseModel(0.0), substream(4, 1, "data"))
-
     def test_odd_element_count_rejected(self):
         ch = sample_channel(5, 2, substream(4, 0))
         with pytest.raises(ValueError):
-            transmit_astbc(ch, 0, 0, 0, 2, NoiseModel(0.0), substream(4, 1, "data"))
+            sub_surface_sums(ch.G, ch.f)
 
     def test_sub_surface_split(self):
         ch = sample_channel(8, 3, substream(5, 0))
@@ -116,7 +120,7 @@ class TestCombine:
         ch = sample_channel(12, 2, substream(6, 0))
         h1, h2 = _sums(ch)
         gain = abs(h1[0]) ** 2 + abs(h2[0]) ** 2
-        y1, y2 = transmit_astbc(ch, 0, 3, 6, 8, NoiseModel(0.0), substream(6, 1, "data"))
+        y1, y2 = _slots(ch, 0, 3, 6, 8)
         r1, r2 = combine(y1, y2, h1[0], h2[0])
         alphas = psk_phases(8)
         assert r1 == pytest.approx(gain * np.exp(1j * alphas[3]))
@@ -144,12 +148,12 @@ class TestOptimalDetector:
         for l in range(4):
             for k1 in range(4):
                 for k2 in range(4):
-                    y1, y2 = transmit_astbc(ch, l, k1, k2, 4, NoiseModel(0.0), substream(8, 1, "data"))
+                    y1, y2 = _slots(ch, l, k1, k2, 4)
                     assert _detect(detect_ml, y1, y2, ch, 4) == (l, k1, k2)
 
     def test_true_hypothesis_cost_zero_noiseless(self):
         ch = sample_channel(8, 2, substream(9, 0))
-        y1, y2 = transmit_astbc(ch, 1, 1, 0, 2, NoiseModel(0.0), substream(9, 1, "data"))
+        y1, y2 = _slots(ch, 1, 1, 0, 2)
         cost = ml_costs(y1, y2, *_sums(ch), 2)
         assert cost[1, 1, 0] == pytest.approx(0.0, abs=1e-20)
         assert cost.min() == pytest.approx(cost[1, 1, 0], abs=1e-20)
@@ -164,7 +168,7 @@ class TestOptimalDetector:
             g = bank.trial(k)
             l = int(g.integers(0, 2))
             k1, k2 = int(g.integers(0, 2)), int(g.integers(0, 2))
-            y1, y2 = transmit_astbc(ch, l, k1, k2, 2, noise, g)
+            y1, y2 = _noisy_slots(ch, l, k1, k2, 2, noise, g)
             # independent brute-force residual computation
             best, arg = np.inf, None
             for lh in range(2):
@@ -182,7 +186,7 @@ class TestFastDetector:
     def test_noiseless_exact_recovery(self):
         ch = sample_channel(16, 4, substream(11, 0))
         for l in range(4):
-            y1, y2 = transmit_astbc(ch, l, 3, 5, 8, NoiseModel(0.0), substream(11, 1, "data"))
+            y1, y2 = _slots(ch, l, 3, 5, 8)
             assert _detect(detect_fast, y1, y2, ch, 8) == (l, 3, 5)
             D, _, _ = fast_metrics(y1, y2, *_sums(ch), 8)
             # the sent hypothesis has zero residual: D = 0 - |y1|^2 - |y2|^2
@@ -195,7 +199,7 @@ class TestFastDetector:
             g = substream(12, trial, "data")
             l = int(g.integers(0, 4))
             k1, k2 = int(g.integers(0, 8)), int(g.integers(0, 8))
-            y1, y2 = transmit_astbc(ch, l, k1, k2, 8, noise, g)
+            y1, y2 = _noisy_slots(ch, l, k1, k2, 8, noise, g)
             _, i1, i2 = fast_metrics(y1, y2, *_sums(ch), 8)
             cost = ml_costs(y1, y2, *_sums(ch), 8)
             for l0 in range(4):
@@ -209,7 +213,7 @@ class TestFastDetector:
             ch = sample_channel(8, 4, substream(13, trial))
             g = substream(13, trial, "data")
             l = int(g.integers(0, 4))
-            y1, y2 = transmit_astbc(ch, l, 1, 2, 4, noise, g)
+            y1, y2 = _noisy_slots(ch, l, 1, 2, 4, noise, g)
             h1, h2 = _sums(ch)
             D, _, _ = fast_metrics(y1, y2, h1, h2, 4)
             cost = ml_costs(y1, y2, h1, h2, 4)

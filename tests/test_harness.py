@@ -225,28 +225,36 @@ class TestSweep:
         assert r.wall_time_s is not None and r.wall_time_s > 0
 
 
-def _scalar_decisions(cfg, snr_db, start, count):
-    """Per-trial (sent, detected) 0-based indices from the one-trial API."""
-    ch_bank, data_bank = StreamBank(cfg.seed, "channel"), StreamBank(cfg.seed, "data")
+def _detector(cfg):
+    return astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
+
+
+def _scalar_decisions(cfg, snr_db, start, count, channel):
+    """Per-trial (sent, detected) 0-based indices of one-trial draws (the
+    channel on the ``channel`` purpose's stream), slots from the code
+    matrix, and one-trial detector calls."""
+    ch_bank, data_bank = StreamBank(cfg.seed, channel), StreamBank(cfg.seed, "data")
     noise = NoiseModel.from_snr_db(snr_db)
-    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
+    alphas = astbc_link.psk_phases(cfg.m)
     out = []
     for k in range(start, start + count):
         ch = sample_channel(cfg.n, cfg.nt, ch_bank.trial(k))
         rng = data_bank.trial(k)
-        sent = tuple(int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
-        y1, y2 = astbc_link.transmit_astbc(ch, *sent, cfg.m, noise, rng)
+        l, k1, k2 = sent = tuple(int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
         h1, h2 = astbc_link.sub_surface_sums(ch.G, ch.f)
-        out.append((sent, tuple(int(v) for v in detect(y1, y2, h1, h2, cfg.m))))
+        y1, y2 = astbc_link.code_matrix(alphas[k1], alphas[k2]) @ np.array([h1[l], h2[l]])
+        y1, y2 = y1 + sample_awgn(noise, rng), y2 + sample_awgn(noise, rng)
+        out.append((sent, tuple(int(v) for v in _detector(cfg)(y1, y2, h1, h2, cfg.m))))
     return out
 
 
-def _kernel_decisions(cfg, snr_db, start, count):
+def _kernel_decisions(cfg, snr_db, start, count, channel):
+    """The same decisions from the chunked frame builder."""
     noise = NoiseModel.from_snr_db(snr_db)
     return [
         (tuple(int(v) for v in s), tuple(int(v) for v in d))
-        for sent, detected in harness._coded_chunks(cfg, noise, start, count)
-        for s, d in zip(sent, detected)
+        for sent, *frame in harness._coded_frame_chunks(cfg, channel, noise, start, count)
+        for s, d in zip(sent, np.stack(_detector(cfg)(*frame, cfg.m), axis=-1))
     ]
 
 
@@ -255,13 +263,16 @@ class TestCodedKernel:
     @pytest.mark.parametrize("nt, m", [(2, 2), (4, 4), (2, 8), (8, 2)])
     @pytest.mark.parametrize("snr_db", [-2.0, math.inf])
     def test_decisions_equal_one_trial_api(self, scheme, nt, m, snr_db):
+        # sweeps draw the channel from the channel stream, criterion 8 from
+        # the oracle stream
         cfg = _cfg(scheme=scheme, n=8, nt=nt, m=m, seed=61)
-        want = _scalar_decisions(cfg, snr_db, 1000, 300)
-        assert _kernel_decisions(cfg, snr_db, 1000, 300) == want
-        if snr_db == math.inf:
-            assert all(s == d for s, d in want)
-        else:
-            assert any(s != d for s, d in want)
+        for channel in ("channel", "oracle"):
+            want = _scalar_decisions(cfg, snr_db, 1000, 300, channel)
+            assert _kernel_decisions(cfg, snr_db, 1000, 300, channel) == want
+            if snr_db == math.inf:
+                assert all(s == d for s, d in want)
+            else:
+                assert any(s != d for s, d in want)
 
     @pytest.mark.parametrize(
         "kw",
@@ -792,7 +803,9 @@ class TestCli:
                          "--snr", "0", "--trials", "10", "--seed", "0"]) == 2
 
     @pytest.mark.parametrize(
-        "snr", ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500"]
+        "snr",
+        ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500",
+         "0:1e308:1e-300", "-1e308:1e308:1"],
     )
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
@@ -800,7 +813,9 @@ class TestCli:
         assert "SNR points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "snr", ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000"]
+        "snr",
+        ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000",
+         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1"],
     )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
@@ -816,9 +831,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "2^48" in err and out == ""
 
-    def test_validate_fast_passes(self, capsys):
+    def test_validate_fast_passes(self, monkeypatch, capsys):
+        reports = []
+
+        def suite(level, run=harness.validate_suite):
+            reports.append(run(level))
+            return reports[-1]
+
+        monkeypatch.setattr(harness, "validate_suite", suite)
         assert cli.main(["validate", "--level", "fast"]) == 0
         assert "ALL CHECKS PASSED" in capsys.readouterr().out
+        # plain bools, not numpy.bool
+        assert [type(c.passed) for c in reports[0].checks] == [bool] * len(reports[0].checks)
 
     def test_validate_failure_exit_code(self, monkeypatch, capsys):
         failing = ValidationReport("fast", [CheckResult("stub", False, "0/1", "1/1")])
