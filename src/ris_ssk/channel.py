@@ -195,6 +195,16 @@ def channel_draw_size(n: int, nt: int, with_direct: bool = False) -> int:
     return 2 * (n * nt + n + (nt if with_direct else 0))
 
 
+def channel_views(draws: np.ndarray, n: int, nt: int, with_direct: bool = False):
+    """G (..., n, nt), f (..., n) and d (..., nt) or None as complex views of
+    scaled draws (..., channel_draw_size), whose pairs run G, f, d."""
+    zc = draws.view(np.complex128)
+    k = n * nt
+    # one trial's row, as sample_channel draws it, skips the shape arithmetic
+    G = zc[:k].reshape(n, nt) if zc.ndim == 1 else zc[..., :k].reshape(zc.shape[:-1] + (n, nt))
+    return G, zc[..., k : k + n], zc[..., k + n :] if with_direct else None
+
+
 def split_channel_draws(
     z: np.ndarray, n: int, nt: int, with_direct: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -208,11 +218,7 @@ def split_channel_draws(
     """
     if z.shape[-1] != channel_draw_size(n, nt, with_direct):
         raise ValueError("draw count does not match the channel dimensions")
-    zc = (z * _INV_SQRT2).view(np.complex128)
-    G = zc[..., : n * nt].reshape(*zc.shape[:-1], n, nt)
-    f = zc[..., n * nt : n * nt + n]
-    d = zc[..., n * nt + n :] if with_direct else None
-    return G, f, d
+    return channel_views(z * _INV_SQRT2, n, nt, with_direct)
 
 
 def sample_channel(
@@ -220,18 +226,25 @@ def sample_channel(
     nt: int,
     rng: np.random.Generator,
     with_direct: bool = False,
+    out: np.ndarray | None = None,
 ) -> ChannelRealization:
     """Draw one i.i.d. unit-variance complex Gaussian channel realization.
 
     Each entry of G and f (and d when requested) is circularly symmetric
     with zero mean and unit variance, split evenly between the real and
-    imaginary parts.
+    imaginary parts.  Given ``out``, a contiguous float64 row of
+    ``channel_draw_size`` elements, G, f and d are views of the draws in it.
     """
     if n < 1 or nt < 1:
         raise ValueError("channel dimensions must be at least 1")
-    z = rng.standard_normal(channel_draw_size(n, nt, with_direct))
-    G, f, d = split_channel_draws(z, n, nt, with_direct)
-    return ChannelRealization(G=G, f=f, d=d)
+    size = channel_draw_size(n, nt, with_direct)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous float64 row of {size} elements")
+    rng.standard_normal(out=out)
+    out *= _INV_SQRT2
+    return ChannelRealization(*channel_views(out, n, nt, with_direct))
 
 
 def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:

@@ -26,6 +26,7 @@ from .channel import (
     StreamBank,
     cascaded_gains,
     channel_draw_size,
+    channel_views,
     raw_indices,
     sample_channel,
     split_channel_draws,
@@ -291,10 +292,10 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     detected), each a (chunk, 1) array of 0-based antenna indices.
 
     Per trial, only the keyed draws run in Python, each on the trial's own
-    streams and in a fixed order: the channel (for traditional-ssk only its
-    2·Nt direct-link normals, drawn straight into the chunk array), the
-    pb-sdr solve on the trial's sdr stream, then the antenna index from one
-    raw word and the noise through ``transmit_pb``.
+    streams and in a fixed order: the channel, drawn straight into the
+    chunk's row of ``z`` (for traditional-ssk only its 2·Nt direct-link
+    normals), the pb-sdr solve on the trial's sdr stream, then the antenna
+    index from one raw word and the noise through ``transmit_pb``.
     Beamforming, the cascaded-gain table (the gains of all antennas as the
     receiver sees them while antenna l is active) and the ML decision run
     once per chunk.
@@ -305,15 +306,10 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
     direct = scheme == "traditional-ssk"
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    if direct:
-        z = np.empty((chunk, channel_draw_size(0, nt, with_direct=True)))
-    else:
-        G = np.empty((chunk, n, nt), dtype=complex)
-        f = np.empty((chunk, n), dtype=complex)
-        coeff = np.empty((chunk, n), dtype=complex)
+    z = np.empty((chunk, channel_draw_size(0 if direct else n, nt, with_direct=direct)))
+    coeff = np.empty((chunk, 0 if direct else n), dtype=complex)
     sent = np.empty((chunk, 1), dtype=np.int64)
     y = np.empty(chunk, dtype=complex)
-    rows = np.arange(chunk)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
         if direct:
@@ -323,11 +319,10 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
             table = np.broadcast_to(d[:, None], (b, nt, nt))
         else:
             for t in range(b):
-                ch = sample_channel(n, nt, ch_bank.trial(at + t))
-                G[t], f[t] = ch.G, ch.f
+                ch = sample_channel(n, nt, ch_bank.trial(at + t), out=z[t])
                 if sdr_bank is not None:
                     coeff[t] = beamform.sdr_beamform(ch, sdr_bank.trial(at + t)).phi
-            chs = ChannelRealization(G[:b], f[:b])
+            chs = ChannelRealization(*channel_views(z[:b], n, nt))
             if scheme == "intelligent-ris-ssk":  # realigned to each active antenna
                 table = cascaded_gains(chs.G, chs.f, beamform.intelligent_ris_phases(chs))
             else:
@@ -339,10 +334,9 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         for t in range(b):
             rng = data_bank.trial(at + t)
             l = raw_indices(rng.bit_generator.random_raw(), nt)
-            sent[t] = l
+            sent[t, 0] = l
             y[t] = pb_link.transmit_pb(table[t, l], l, noise, rng)
-        gains = table[rows[:b], sent[:b, 0]]
-        yield sent[:b], pb_link.detect_pb_ml(y[:b], gains)[:, None]
+        yield sent[:b], pb_link.detect_pb_ml(y[:b], table[np.arange(b), sent[:b, 0]])[:, None]
 
 
 def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tuple[int, int]:
@@ -414,8 +408,11 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     try:
         if cfg.workers > 1:
             import multiprocessing  # only multi-worker sweeps pay for its import
+            import os
 
-            pool = multiprocessing.Pool(cfg.workers)
+            # one process per usable CPU at most; blocks still split cfg.workers ways
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            pool = multiprocessing.Pool(min(cfg.workers, cpus or 1))
         for i, snr_db in enumerate(cfg.snr_db_grid):
             t0 = time.perf_counter() if cfg.record_wall_time else None
             src_err, ris_err, done = _run_point(cfg, snr_db, i * cfg.trials, pool)

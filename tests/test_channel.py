@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,17 +158,36 @@ class TestSampleChannel:
     def test_split_draws_over_leading_axes_match_sample_channel(self):
         bank = StreamBank(14, "channel")
         for with_direct in (False, True):
-            z = np.stack([bank.trial(k).standard_normal(channel_draw_size(6, 4, with_direct)) for k in range(5)])
+            size = channel_draw_size(6, 4, with_direct)
+            z = np.stack([bank.trial(k).standard_normal(size) for k in range(5)])
             G, f, d = split_channel_draws(z, 6, 4, with_direct)
             assert G.shape == (5, 6, 4) and f.shape == (5, 6)
+            rows = np.empty((5, size))
             for k in range(5):
                 ch = sample_channel(6, 4, bank.trial(k), with_direct=with_direct)
-                assert np.array_equal(G[k], ch.G) and np.array_equal(f[k], ch.f)
-                assert (d is None) == (ch.d is None)
-                if with_direct:
-                    assert np.array_equal(d[k], ch.d)
+                # drawn into a caller's row: bit-identical, and views of it
+                into = sample_channel(6, 4, bank.trial(k), with_direct=with_direct, out=rows[k])
+                for c in (ch, into):
+                    assert np.array_equal(G[k], c.G) and np.array_equal(f[k], c.f)
+                    assert (d is None) == (c.d is None)
+                    if with_direct:
+                        assert np.array_equal(d[k], c.d)
+                for a in (into.G, into.f) + ((into.d,) if with_direct else ()):
+                    assert np.shares_memory(a, rows[k])
         with pytest.raises(ValueError):
             split_channel_draws(np.zeros((2, 10)), 6, 4)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(63), np.empty(65), np.empty((1, 64)), np.empty(64, np.float32), np.empty(32, complex), np.empty(128)[::2]],
+        ids=["short", "long", "2-D", "float32", "complex", "strided"],
+    )
+    def test_rejects_an_out_row_it_cannot_fill(self, out):
+        # 8x3 takes 64 normals; nothing is drawn before the row is rejected
+        rng = substream(4, 0)
+        with pytest.raises(ValueError):
+            sample_channel(8, 3, rng, out=out)
+        assert rng.standard_normal() == substream(4, 0).standard_normal()
 
     def test_shape_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -193,7 +214,19 @@ class TestSampleChannel:
 
 class TestNoise:
     def test_noiseless_mode_returns_zero(self):
-        assert sample_awgn(NoiseModel(n0=0.0), substream(0, 0, "data")) == 0
+        rng = substream(0, 0, "data")
+        w = sample_awgn(NoiseModel(n0=0.0), rng)
+        assert w == 0j and type(w) is complex
+        assert rng.standard_normal() == substream(0, 0, "data").standard_normal()  # nothing drawn
+
+    @pytest.mark.parametrize("n0", [1.0, 0.3, 1e-12, 4.0])
+    def test_one_scaled_normal_pair(self, n0):
+        # the stream contract: one sample reads the values standard_normal(2) would
+        for trial in range(5):
+            re, im = substream(23, trial, "data").standard_normal(2)
+            scale = math.sqrt(n0 / 2.0)
+            w = sample_awgn(NoiseModel(n0=n0), substream(23, trial, "data"))
+            assert type(w) is complex and w == complex(re * scale, im * scale)
 
     def test_unit_variance(self):
         rng = substream(21, 0, "data")

@@ -189,6 +189,35 @@ class TestSweep:
         write_csv(run_ber_sweep(_cfg(trials=4000, workers=3)), p8)
         assert p1.read_bytes() == p8.read_bytes()
 
+    def test_pool_bounded_by_cpus_and_split_by_workers(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        asked, parts = [], []
+
+        class FakePool:
+            """Runs each part in this process; starts no process."""
+
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def starmap(self, fn, args):
+                parts.append(len(args))
+                return [fn(*a) for a in args]
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        cfg = _cfg(snr_db_grid=(-10.0,), trials=20_000)
+        many = run_ber_sweep(dataclasses.replace(cfg, workers=10_000))
+        assert len(asked) == 1 and 1 <= asked[0] <= os.cpu_count()
+        assert parts == [10_000]
+        assert many == run_ber_sweep(cfg)
+
     def test_pb_sdr_worker_count_invariance(self, tmp_path):
         p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         cfg = dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=12)
