@@ -62,6 +62,8 @@ def load_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _SETTINGS:
                 raise harness.ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            if key in out:
+                raise harness.ConfigError(f"{path}:{lineno}: repeated setting {key!r}")
             out[key] = value
     return out
 
@@ -146,9 +148,9 @@ def _cmd_optimize(args) -> int:
     else:
         rv = beamform.brute_force_beamform(ch, args.levels)
     d = beamform.min_pairwise_distance(ch, rv)
-    np.set_printoptions(precision=6, suppress=True)
     print(f"method={args.method} n={args.n} nt={args.nt} seed={args.seed}")
-    print(f"theta = {np.mod(np.angle(getattr(rv, 'phi', rv)), 2 * np.pi)}")
+    with np.printoptions(precision=6, suppress=True):
+        print(f"theta = {np.mod(np.angle(getattr(rv, 'phi', rv)), 2 * np.pi)}")
     print(f"d_min = {d:.6f}")
     g = getattr(rv, "diagnostics", None)
     if g is not None:

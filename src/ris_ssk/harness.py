@@ -278,15 +278,6 @@ def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: 
         yield sent, y1, y2, h1, h2
 
 
-def _coded_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
-    """Coded sweep trials [start, start + count) in chunks; yields (sent,
-    detected), each a (chunk, 3) array of 0-based indices, with the
-    scheme's detector run once per chunk."""
-    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
-    for sent, *frame in _coded_frame_chunks(cfg, "channel", noise, start, count):
-        yield sent, np.stack(detect(*frame, cfg.m), axis=-1)
-
-
 def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     """Beamformed trials [start, start + count) in chunks; yields (sent,
     detected), each a (chunk, 1) array of 0-based antenna indices.
@@ -339,12 +330,23 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         yield sent[:b], pb_link.detect_pb_ml(y[:b], table[np.arange(b), sent[:b, 0]])[:, None]
 
 
+def _chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
+    """Sweep trials [start, start + count) in chunks; yields (sent,
+    detected), each a (chunk, roles) array of 0-based indices: the antenna,
+    then for the coded schemes the two phase indices, decided by the
+    scheme's detector once per chunk."""
+    if cfg.scheme not in _ASTBC_SCHEMES:
+        yield from _pb_chunks(cfg, noise, start, count)
+        return
+    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
+    for sent, *frame in _coded_frame_chunks(cfg, "channel", noise, start, count):
+        yield sent, np.stack(detect(*frame, cfg.m), axis=-1)
+
+
 def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tuple[int, int]:
     """Run trials [start, start + count) at one SNR point; return error counts."""
-    noise = NoiseModel.from_snr_db(snr_db)
-    chunks = _coded_chunks if cfg.scheme in _ASTBC_SCHEMES else _pb_chunks
     src_err = ris_err = 0
-    for sent, detected in chunks(cfg, noise, start, count):
+    for sent, detected in _chunks(cfg, NoiseModel.from_snr_db(snr_db), start, count):
         src_err += pb_link.label_bit_errors(sent[:, 0], detected[:, 0])
         ris_err += pb_link.label_bit_errors(sent[:, 1:], detected[:, 1:])
     return src_err, ris_err
@@ -360,10 +362,9 @@ def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_point(
-    cfg: SimConfig, snr_db: float, base_trial: int, pool
-) -> tuple[int, int, int]:
-    """Execute one SNR point; returns (source_errors, ris_errors, trials_run)."""
+def _run_point(cfg: SimConfig, snr_db: float, base_trial: int, pool, ris_counted: bool) -> tuple[int, int, int]:
+    """Execute one SNR point; returns (source_errors, ris_errors, trials_run).
+    An early stop waits for the surface stream too when ``ris_counted``."""
 
     def run_block(start: int, count: int) -> tuple[int, int]:
         if pool is None or count < 2 * cfg.workers:
@@ -376,7 +377,6 @@ def _run_point(
 
     src_err = ris_err = 0
     done = 0
-    counted_roles = 2 if cfg.scheme in _ASTBC_SCHEMES else 1
     while done < cfg.trials:
         block = cfg.trials - done
         if cfg.target_errors is not None:
@@ -385,12 +385,9 @@ def _run_point(
         src_err += ds
         ris_err += dr
         done += block
-        if cfg.target_errors is not None:
-            enough = src_err >= cfg.target_errors and (
-                counted_roles == 1 or ris_err >= cfg.target_errors
-            )
-            if enough:
-                break
+        counted = (src_err, ris_err) if ris_counted else (src_err,)
+        if cfg.target_errors is not None and min(counted) >= cfg.target_errors:
+            break
     return src_err, ris_err, done
 
 
@@ -402,7 +399,6 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     independent of every other's and of the worker count.
     """
     b_src, b_ris = _bits_per_trial(cfg.scheme, cfg.nt, cfg.m)
-    is_astbc = cfg.scheme in _ASTBC_SCHEMES
     records: list[BerRecord] = []
     pool = None
     try:
@@ -415,16 +411,16 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
             pool = multiprocessing.Pool(min(cfg.workers, cpus or 1))
         for i, snr_db in enumerate(cfg.snr_db_grid):
             t0 = time.perf_counter() if cfg.record_wall_time else None
-            src_err, ris_err, done = _run_point(cfg, snr_db, i * cfg.trials, pool)
+            src_err, ris_err, done = _run_point(cfg, snr_db, i * cfg.trials, pool, b_ris > 0)
             wall = time.perf_counter() - t0 if t0 is not None else None
             records.append(
                 _record(
                     cfg.scheme, cfg.n, cfg.nt, cfg.m, snr_db,
                     trials=done,
                     source_errors=src_err,
-                    ris_errors=ris_err if is_astbc else None,
+                    ris_errors=ris_err if b_ris else None,
                     ber_source=src_err / (done * b_src),
-                    ber_ris=ris_err / (done * b_ris) if is_astbc else None,
+                    ber_ris=ris_err / (done * b_ris) if b_ris else None,
                     seed=cfg.seed,
                     wall_time_s=wall,
                 )
@@ -507,39 +503,11 @@ def write_csv(records: list[BerRecord], path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def read_csv(path) -> list[BerRecord]:
-    """Inverse of :func:`write_csv` (at the written precision)."""
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
-        raise ValueError(f"unrecognized CSV header in {path}")
-    out = []
-    for lineno, ln in enumerate(lines[1:], 2):
-        if not ln:
-            continue
-        cells = ln.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        kw = {}
-        for name, cell in zip(CSV_COLUMNS, cells):
-            if cell == "":
-                kw[name] = None
-            elif name == "scheme":
-                kw[name] = cell
-            elif name in _INT_COLUMNS:
-                kw[name] = int(cell)
-            else:
-                kw[name] = float(cell)
-        out.append(BerRecord(**kw))
-    return out
-
-
 def write_json(records: list[BerRecord], path) -> None:
-    """JSON mirror of the records, one object per record."""
-    text = json.dumps([asdict(r) for r in records], indent=1) + "\n"
+    """JSON mirror of the records, one object per record; strict JSON, so
+    the noiseless point's ``snr_db`` is the string "inf", as in the CSV."""
+    rows = [{**asdict(r), "snr_db": r.snr_db if math.isfinite(r.snr_db) else "inf"} for r in records]
+    text = json.dumps(rows, indent=1, allow_nan=False) + "\n"
     try:
         with open(path, "w") as fh:
             fh.write(text)
