@@ -16,9 +16,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AbepQuery:
-    """Operating point for the closed forms: finite positive linear SNR,
-    element count, antenna count (at least two), and PSK order (ignored by
-    the beamformed scheme)."""
+    """Operating point for the closed forms: finite positive linear SNR, and
+    the integer element count, antenna count (at least two), and PSK order
+    (ignored by the beamformed scheme)."""
 
     rho: float
     n: int
@@ -28,6 +28,11 @@ class AbepQuery:
     def __post_init__(self):
         if not 0 < self.rho < np.inf:  # also rejects NaN
             raise ValueError(f"linear SNR must be finite and positive, got {self.rho}")
+        for name in ("n", "nt", "m"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # np.log2 of a numpy uint8 runs in float16
         if self.n < 1:
             raise ValueError("element count must be at least 1")
         if self.nt < 2:

@@ -143,8 +143,8 @@ class NoiseModel:
     n0: float
 
     def __post_init__(self):
-        if not self.n0 >= 0:  # also rejects NaN
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.n0 < math.inf:  # also rejects NaN
+            raise ValueError(f"noise variance must be finite and nonnegative, got {self.n0}")
 
     @property
     def rho(self) -> float:
@@ -165,9 +165,9 @@ class NoiseModel:
 @dataclass(frozen=True)
 class ChannelRealization:
     """Draws of the reflected link: G is source-to-surface (..., N, Nt), f is
-    surface-to-destination (..., N), and d is an optional direct
-    source-to-destination link (..., Nt) used only by the direct-link
-    baseline.  Leading axes index trials; one draw has none."""
+    surface-to-destination (..., N).  Leading axes index trials.  The direct
+    link d (..., Nt) is optional and no sampler produces it: the direct-link
+    baseline draws its links as plain :func:`complex_normals`."""
 
     G: np.ndarray
     f: np.ndarray
@@ -190,61 +190,46 @@ class ChannelRealization:
         return self.G.shape[-1]
 
 
-def channel_draw_size(n: int, nt: int, with_direct: bool = False) -> int:
+def channel_draw_size(n: int, nt: int) -> int:
     """Real standard normals one channel realization consumes."""
-    return 2 * (n * nt + n + (nt if with_direct else 0))
+    return 2 * (n * nt + n)
 
 
-def channel_views(draws: np.ndarray, n: int, nt: int, with_direct: bool = False):
-    """G (..., n, nt), f (..., n) and d (..., nt) or None as complex views of
-    scaled draws (..., channel_draw_size), whose pairs run G, f, d."""
-    zc = draws.view(np.complex128)
+def complex_normals(z: np.ndarray) -> np.ndarray:
+    """Scale float64 standard normals (..., 2k) in place by 1/sqrt(2), as numpy
+    divides a complex array by sqrt(2), and return them as k unit-variance
+    complex normals: the complex view (..., k) of (real, imaginary) pairs."""
+    z *= _INV_SQRT2
+    return z.view(np.complex128)
+
+
+def channel_views(draws: np.ndarray, n: int, nt: int):
+    """G (..., n, nt) and f (..., n) as complex views of float64 draws
+    (..., channel_draw_size), whose pairs run G, then f."""
+    if draws.dtype != np.float64 or draws.shape[-1:] != (channel_draw_size(n, nt),):
+        raise ValueError(f"draws must be float64 rows of {channel_draw_size(n, nt)} elements")
+    zc = draws.view(np.complex128)  # raises ValueError for a strided row
     k = n * nt
     # one trial's row, as sample_channel draws it, skips the shape arithmetic
     G = zc[:k].reshape(n, nt) if zc.ndim == 1 else zc[..., :k].reshape(zc.shape[:-1] + (n, nt))
-    return G, zc[..., k : k + n], zc[..., k + n :] if with_direct else None
+    return G, zc[..., k:]
 
 
-def split_channel_draws(
-    z: np.ndarray, n: int, nt: int, with_direct: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Turn real normals shaped (..., channel_draw_size) into G, f and d.
-
-    Consecutive (real, imaginary) draws are scaled, then viewed as complex
-    pairs: the same arithmetic numpy uses to divide a complex array by a
-    real scalar (multiply by its reciprocal), so bit-identical to it.  The
-    outputs keep the leading axes: G is (..., n, nt), f is (..., n) and d
-    is (..., nt), or None without direct links.
-    """
-    if z.shape[-1] != channel_draw_size(n, nt, with_direct):
-        raise ValueError("draw count does not match the channel dimensions")
-    return channel_views(z * _INV_SQRT2, n, nt, with_direct)
-
-
-def sample_channel(
-    n: int,
-    nt: int,
-    rng: np.random.Generator,
-    with_direct: bool = False,
-    out: np.ndarray | None = None,
-) -> ChannelRealization:
-    """Draw one i.i.d. unit-variance complex Gaussian channel realization.
-
-    Each entry of G and f (and d when requested) is circularly symmetric
-    with zero mean and unit variance, split evenly between the real and
-    imaginary parts.  Given ``out``, a contiguous float64 row of
-    ``channel_draw_size`` elements, G, f and d are views of the draws in it.
-    """
+def sample_channel(n: int, nt: int, rng: np.random.Generator, out: np.ndarray | None = None) -> ChannelRealization:
+    """Draw one channel realization: G and f hold i.i.d. complex normals of
+    unit variance, split evenly between the real and imaginary parts.  Given
+    ``out``, a float64 row of ``channel_draw_size`` elements, they are views
+    of the draws in it."""
     if n < 1 or nt < 1:
         raise ValueError("channel dimensions must be at least 1")
-    size = channel_draw_size(n, nt, with_direct)
     if out is None:
-        out = np.empty(size)
-    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous float64 row of {size} elements")
+        out = np.empty(channel_draw_size(n, nt))
+    elif out.ndim != 1:
+        raise ValueError("out must be one row")
+    G, f = channel_views(out, n, nt)  # checks the row before anything is drawn
     rng.standard_normal(out=out)
-    out *= _INV_SQRT2
-    return ChannelRealization(*channel_views(out, n, nt, with_direct))
+    complex_normals(out)
+    return ChannelRealization(G, f)
 
 
 def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:

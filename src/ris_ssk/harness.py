@@ -27,9 +27,9 @@ from .channel import (
     cascaded_gains,
     channel_draw_size,
     channel_views,
+    complex_normals,
     raw_indices,
     sample_channel,
-    split_channel_draws,
     substream,
 )
 
@@ -227,7 +227,7 @@ def _trial_elements(cfg: SimConfig) -> int:
         metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
         return max(channel_draw_size(n, nt), metric)
     if cfg.scheme == "traditional-ssk":
-        return channel_draw_size(0, nt, with_direct=True)
+        return 2 * nt
     if cfg.scheme == "pb-lowcomplexity":
         return _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2)
     # intelligent-ris-ssk's (Nt, Nt) gain table outgrows the (Nt, N) arrays
@@ -267,8 +267,8 @@ def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: 
             if noisy:
                 rng.standard_normal(out=w[t])
         sent = raw_indices(words[:b], (nt, m, m))
-        G, f, _ = split_channel_draws(z[:b], n, nt)
-        h1, h2 = astbc_link.sub_surface_sums(G, f)
+        complex_normals(z[:b])
+        h1, h2 = astbc_link.sub_surface_sums(*channel_views(z[:b], n, nt))
         l0, k1, k2 = sent.T
         rows = np.arange(b)
         y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
@@ -297,7 +297,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
     direct = scheme == "traditional-ssk"
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    z = np.empty((chunk, channel_draw_size(0 if direct else n, nt, with_direct=direct)))
+    z = np.empty((chunk, 2 * nt if direct else channel_draw_size(n, nt)))
     coeff = np.empty((chunk, 0 if direct else n), dtype=complex)
     sent = np.empty((chunk, 1), dtype=np.int64)
     y = np.empty(chunk, dtype=complex)
@@ -306,8 +306,7 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         if direct:
             for t in range(b):
                 ch_bank.trial(at + t).standard_normal(out=z[t])
-            _, _, d = split_channel_draws(z[:b], 0, nt, with_direct=True)
-            table = np.broadcast_to(d[:, None], (b, nt, nt))
+            table = np.broadcast_to(complex_normals(z[:b])[:, None], (b, nt, nt))
         else:
             for t in range(b):
                 ch = sample_channel(n, nt, ch_bank.trial(at + t), out=z[t])

@@ -18,7 +18,9 @@ from .channel import NoiseModel, sample_awgn
 def label_bit_errors(sent, detected) -> int:
     """Total Hamming distance between the natural binary labels of 0-based
     indices (scalars or equal-shape integer arrays): one popcount of their
-    XOR."""
+    XOR.  Raises ValueError for a negative index, which has no label."""
+    if np.any(np.minimum(sent, detected) < 0):
+        raise ValueError("antenna and phase indices must be nonnegative")
     diff = np.ascontiguousarray(np.bitwise_xor(sent, detected), dtype=np.uint64)
     return int(np.unpackbits(diff.view(np.uint8)).sum())
 

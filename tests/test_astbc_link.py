@@ -17,9 +17,10 @@ from ris_ssk.channel import (
     NoiseModel,
     StreamBank,
     channel_draw_size,
+    channel_views,
+    complex_normals,
     sample_awgn,
     sample_channel,
-    split_channel_draws,
     substream,
 )
 from ris_ssk.harness import _bits_per_trial
@@ -231,7 +232,8 @@ class TestFastDetector:
         rng = substream(18, nt * 16 + m, "oracle")
         for snr_db in (-5.0, 0.0, 10.0, np.inf):
             z = rng.standard_normal((frames, channel_draw_size(n, nt)))
-            G, f, _ = split_channel_draws(z, n, nt)
+            complex_normals(z)
+            G, f = channel_views(z, n, nt)
             G[::2, :, 1] = 0
             h1, h2 = sub_surface_sums(G, f)
             l, k1, k2 = rng.integers(0, [nt, m, m], size=(frames, 3)).T

@@ -9,10 +9,11 @@ from ris_ssk.channel import (
     StreamBank,
     cascaded_gains,
     channel_draw_size,
+    channel_views,
+    complex_normals,
     raw_indices,
     sample_awgn,
     sample_channel,
-    split_channel_draws,
     substream,
 )
 
@@ -122,10 +123,6 @@ class TestSampleChannel:
         assert ch.d is None
         assert (ch.n, ch.nt) == (4, 2)
 
-    def test_direct_link_present_iff_requested(self):
-        ch = sample_channel(4, 2, substream(0, 0), with_direct=True)
-        assert ch.d is not None and ch.d.shape == (2,)
-
     def test_rejects_zero_dimensions(self):
         with pytest.raises(ValueError):
             sample_channel(0, 2, substream(0, 0))
@@ -133,11 +130,10 @@ class TestSampleChannel:
             sample_channel(4, 0, substream(0, 0))
 
     def test_determinism_same_stream_key(self):
-        a = sample_channel(5, 3, substream(3, 77), with_direct=True)
-        b = sample_channel(5, 3, substream(3, 77), with_direct=True)
+        a = sample_channel(5, 3, substream(3, 77))
+        b = sample_channel(5, 3, substream(3, 77))
         assert np.array_equal(a.G, b.G)
         assert np.array_equal(a.f, b.f)
-        assert np.array_equal(a.d, b.d)
 
     def test_entry_moments_over_many_draws(self):
         # 1e5 independent single-entry draws through the per-trial keying
@@ -157,30 +153,31 @@ class TestSampleChannel:
 
     def test_split_draws_over_leading_axes_match_sample_channel(self):
         bank = StreamBank(14, "channel")
-        for with_direct in (False, True):
-            size = channel_draw_size(6, 4, with_direct)
-            z = np.stack([bank.trial(k).standard_normal(size) for k in range(5)])
-            G, f, d = split_channel_draws(z, 6, 4, with_direct)
-            assert G.shape == (5, 6, 4) and f.shape == (5, 6)
-            rows = np.empty((5, size))
-            for k in range(5):
-                ch = sample_channel(6, 4, bank.trial(k), with_direct=with_direct)
-                # drawn into a caller's row: bit-identical, and views of it
-                into = sample_channel(6, 4, bank.trial(k), with_direct=with_direct, out=rows[k])
-                for c in (ch, into):
-                    assert np.array_equal(G[k], c.G) and np.array_equal(f[k], c.f)
-                    assert (d is None) == (c.d is None)
-                    if with_direct:
-                        assert np.array_equal(d[k], c.d)
-                for a in (into.G, into.f) + ((into.d,) if with_direct else ()):
-                    assert np.shares_memory(a, rows[k])
+        size = channel_draw_size(6, 4)
+        z = np.stack([bank.trial(k).standard_normal(size) for k in range(5)])
+        # scaled in place: the complex division by sqrt(2), bit for bit
+        want = z.view(complex) / np.sqrt(2.0)
+        zc = complex_normals(z)
+        assert np.array_equal(zc, want) and np.shares_memory(zc, z)
+        G, f = channel_views(z, 6, 4)
+        assert G.shape == (5, 6, 4) and f.shape == (5, 6)
+        rows = np.empty((5, size))
+        for k in range(5):
+            ch = sample_channel(6, 4, bank.trial(k))
+            # drawn into a caller's row: bit-identical, and views of it
+            into = sample_channel(6, 4, bank.trial(k), out=rows[k])
+            for c in (ch, into):
+                assert np.array_equal(G[k], c.G) and np.array_equal(f[k], c.f)
+            for a in (into.G, into.f):
+                assert np.shares_memory(a, rows[k])
         with pytest.raises(ValueError):
-            split_channel_draws(np.zeros((2, 10)), 6, 4)
+            channel_views(np.zeros((2, 10)), 6, 4)
 
     @pytest.mark.parametrize(
         "out",
-        [np.empty(63), np.empty(65), np.empty((1, 64)), np.empty(64, np.float32), np.empty(32, complex), np.empty(128)[::2]],
-        ids=["short", "long", "2-D", "float32", "complex", "strided"],
+        [np.empty(63), np.empty(65), np.empty((1, 64)), np.empty(64, np.float32), np.empty(32, complex), np.empty(128)[::2],
+         np.empty(64, np.int64)],
+        ids=["short", "long", "2-D", "float32", "complex", "strided", "int64"],
     )
     def test_rejects_an_out_row_it_cannot_fill(self, out):
         # 8x3 takes 64 normals; nothing is drawn before the row is rejected
@@ -252,6 +249,10 @@ class TestNoise:
             NoiseModel(n0=float("nan"))
         with pytest.raises(ValueError):
             NoiseModel.from_snr_db(float("nan"))
+        with pytest.raises(ValueError):
+            NoiseModel(n0=float("inf"))
+        with pytest.raises(ValueError):
+            NoiseModel.from_snr_db(float("-inf"))
         with pytest.raises(ValueError):
             NoiseModel.from_rho(0.0)
 

@@ -8,6 +8,7 @@ from ris_ssk.channel import (
     NoiseModel,
     StreamBank,
     cascaded_gains,
+    complex_normals,
     sample_channel,
     substream,
 )
@@ -20,6 +21,12 @@ def _random_gains(seed, n, nt):
     ch = sample_channel(n, nt, rng)
     phi = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return ch, phi, cascaded_gains(ch.G, ch.f, phi)[0]
+
+
+def _direct_links(rng, nt):
+    """Nt direct links d as the traditional-ssk sweep draws them: 2·Nt
+    normals scaled into complex pairs."""
+    return complex_normals(rng.standard_normal(2 * nt))
 
 
 class TestSskMapping:
@@ -39,8 +46,9 @@ class TestSskMapping:
     def test_rejects_bad_bits(self):
         # a symbol is an antenna index in 0..nt-1; anything else is rejected,
         # on the reflected link and on the direct links alike
-        ch = sample_channel(4, 4, substream(21, 0), with_direct=True)
-        for gains in (cascaded_gains(ch.G, ch.f, np.ones(4, complex))[0], ch.d):
+        ch = sample_channel(4, 4, substream(21, 0))
+        reflected = cascaded_gains(ch.G, ch.f, np.ones(4, complex))[0]
+        for gains in (reflected, _direct_links(substream(21, 0), 4)):
             for l in (-1, 4):
                 with pytest.raises(IndexError):
                     transmit_pb(gains, l, NoiseModel(0.0), substream(21, 1, "data"))
@@ -55,6 +63,15 @@ class TestSskMapping:
         detected = np.array([[0, 0, 6], [0, 7, 1]])
         assert label_bit_errors(sent, detected) == 0 + 2 + 2 + 3 + 3 + 0
         assert label_bit_errors(2**40, 0) == 1
+
+    def test_label_bit_errors_rejects_negative_indices(self):
+        # a uint64 cast would wrap -1 onto 64 set bits
+        negative = [(-1, 0), (0, -1), (np.array([3]), np.array([-1])), (np.array([[-2, 1]]), np.zeros((1, 2), int))]
+        for sent, detected in negative:
+            with pytest.raises(ValueError):
+                label_bit_errors(sent, detected)
+        # the beamformed schemes count (b, 0) surface columns
+        assert label_bit_errors(np.zeros((5, 0), int), np.zeros((5, 0), int)) == 0
 
 
 class TestTransmitPb:
@@ -133,10 +150,10 @@ class TestTraditionalSsk:
     """Direct-link SSK: the same transmit and detection with gains = d."""
 
     def test_noiseless_recovery_and_missing_direct(self):
-        ch = sample_channel(1, 4, substream(7, 0), with_direct=True)
+        d = _direct_links(substream(7, 0), 4)
         for l in range(4):
-            y = transmit_pb(ch.d, l, NoiseModel(0.0), substream(7, 1, "data"))
-            assert detect_pb_ml(y, ch.d) == l
+            y = transmit_pb(d, l, NoiseModel(0.0), substream(7, 1, "data"))
+            assert detect_pb_ml(y, d) == l
         bare = sample_channel(1, 4, substream(7, 0))
         assert bare.d is None
         with pytest.raises(ValueError):
@@ -155,10 +172,10 @@ class TestTraditionalSsk:
         errs = 0
         trials = 100_000
         for k in range(trials):
-            ch = sample_channel(1, 2, ch_bank.trial(k), with_direct=True)
+            d = _direct_links(ch_bank.trial(k), 2)
             g = data_bank.trial(k)
             l = int(g.integers(0, 2))
-            errs += detect_pb_ml(transmit_pb(ch.d, l, noise, g), ch.d) != l
+            errs += detect_pb_ml(transmit_pb(d, l, noise, g), d) != l
         assert errs / trials < 1e-3
 
 
