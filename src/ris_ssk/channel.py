@@ -37,6 +37,8 @@ def _purpose_code(purpose: str) -> int:
 
 
 def _philox_key(seed: int, trial: int, purpose: str) -> np.ndarray:
+    if isinstance(seed, bool) or isinstance(trial, bool):
+        raise TypeError(f"seeds and trial indices are integers, not bools: {seed!r}, {trial!r}")
     seed, trial = operator.index(seed), operator.index(trial)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
@@ -87,6 +89,8 @@ class StreamBank:
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
+        if isinstance(trial, bool):
+            raise TypeError(f"trial indices are integers, not bools: {trial!r}")
         trial = operator.index(trial)
         if not 0 <= trial < TRIAL_LIMIT:
             raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
@@ -153,7 +157,10 @@ class NoiseModel:
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseModel":
-        return cls(n0=10.0 ** (-snr_db / 10.0))
+        try:
+            return cls(n0=10.0 ** (-snr_db / 10.0))
+        except OverflowError:
+            raise ValueError(f"an SNR of {snr_db} dB puts the noise variance beyond float range") from None
 
     @classmethod
     def from_rho(cls, rho: float) -> "NoiseModel":

@@ -164,9 +164,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = harness.validate_suite(args.level)
-    print(report.format())
-    return 0 if report.passed else 1
+    checks = harness.validate_suite()
+    passed = all(c.passed for c in checks)
+    print("\n".join([c.format() for c in checks] + ["ALL CHECKS PASSED" if passed else "CHECKS FAILED"]))
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="run acceptance criteria 6-10")
-    p.add_argument("--level", default="fast", choices=("fast", "full"))
     p.set_defaults(func=_cmd_validate)
     return parser
 

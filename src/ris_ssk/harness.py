@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -530,28 +530,9 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.measured} (require {self.requirement})"
 
 
-@dataclass
-class ValidationReport:
-    level: str
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format(self) -> str:
-        lines = [c.format() for c in self.checks]
-        verdict = "ALL CHECKS PASSED" if self.passed else "CHECKS FAILED"
-        return "\n".join(lines + [f"validation level={self.level}: {verdict}"])
-
-
-# Acceptance criteria 6-10 at their pinned seeds.  Level "full" is the
-# acceptance gate itself; "fast" runs a prefix of the same streams.
-
-
-def _check_beamformer_vs_grid(level: str) -> list[CheckResult]:
+def _check_beamformer_vs_grid() -> list[CheckResult]:
     """Criterion 6: the relaxation against the 16-level grid and the candidate set."""
-    n_ch, need = (100, 90) if level == "full" else (12, 9)
+    n_ch, need = 100, 90
     wins = 0
     sdr_ds, lc_ds = [], []
     for t in range(n_ch):
@@ -577,9 +558,9 @@ def _check_beamformer_vs_grid(level: str) -> list[CheckResult]:
     ]
 
 
-def _check_two_antenna(level: str) -> list[CheckResult]:
+def _check_two_antenna() -> list[CheckResult]:
     """Criterion 7: candidate set and relaxation against the two-antenna closed form."""
-    n_ch = 100 if level == "full" else 20
+    n_ch = 100
     exact = 0
     ok99 = 0
     for t in range(n_ch):
@@ -605,19 +586,19 @@ def _check_two_antenna(level: str) -> list[CheckResult]:
     ]
 
 
-def _check_detectors(level: str) -> list[CheckResult]:
+def _check_detectors() -> list[CheckResult]:
     """Criterion 8: the fast detector's inner decisions and its agreement
     with ML, on the sweeps' coded frames with the channel on the oracle
     stream."""
     # Chunks are sized as astbc-optimal's: both checks build the Nt·M² ML costs.
-    frames_inner = 10_000 if level == "full" else 2_000
+    frames_inner = 10_000
     cfg = SimConfig(scheme="astbc-optimal", n=8, nt=4, m=8, snr_db_grid=(3.0,), trials=frames_inner, seed=808)
     inner_match = 0
     for _, *frame in _coded_frame_chunks(cfg, "oracle", NoiseModel.from_snr_db(3.0), 0, frames_inner):
         _, i1, i2 = astbc_link.fast_metrics(*frame, cfg.m)
         j1, j2 = np.divmod(astbc_link.ml_costs(*frame, cfg.m).reshape(*i1.shape, -1).argmin(axis=-1), cfg.m)
         inner_match += int(((i1 == j1) & (i2 == j2)).all(axis=-1).sum())
-    frames_ag = 20_000 if level == "full" else 2_000
+    frames_ag = 20_000
     rho = 100.0 / 64.0
     cfg = SimConfig(
         scheme="astbc-optimal", n=64, nt=2, m=2, snr_db_grid=(10.0 * math.log10(rho),), trials=frames_ag, seed=809
@@ -643,9 +624,9 @@ def _check_detectors(level: str) -> list[CheckResult]:
     ]
 
 
-def _check_clt_moments(level: str) -> list[CheckResult]:
+def _check_clt_moments() -> list[CheckResult]:
     """Criterion 9: sample moments of the aligned cascade against the Gaussian approximation."""
-    draws = 100_000 if level == "full" else 20_000
+    draws = 100_000
     n = 128
     rng = substream(909, 0, "oracle")
     total = np.empty(draws)
@@ -676,8 +657,8 @@ def _check_clt_moments(level: str) -> list[CheckResult]:
     ]
 
 
-def _check_quadrature(level: str) -> list[CheckResult]:
-    """Criterion 10: the closed forms against numerical quadrature (same at both levels)."""
+def _check_quadrature() -> list[CheckResult]:
+    """Criterion 10: the closed forms against numerical quadrature."""
     from scipy.integrate import quad
 
     # rho ~ c/n^2 keeps the beamformed-scheme ABEP in a quadrature-friendly
@@ -726,18 +707,8 @@ def _check_quadrature(level: str) -> list[CheckResult]:
     ]
 
 
-def validate_suite(level: str = "fast") -> ValidationReport:
-    """Acceptance criteria 6-10 as one report; failures are entries, not errors.
-
-    ``full`` reproduces the acceptance gate's draws exactly; ``fast`` runs a
-    prefix of the same streams with smaller counts.
-    """
-    if level not in ("fast", "full"):
-        raise ValueError("level must be 'fast' or 'full'")
-    report = ValidationReport(level=level)
-    report.checks += _check_beamformer_vs_grid(level)
-    report.checks += _check_two_antenna(level)
-    report.checks += _check_detectors(level)
-    report.checks += _check_clt_moments(level)
-    report.checks += _check_quadrature(level)
-    return report
+def validate_suite() -> list[CheckResult]:
+    """Acceptance criteria 6-10 exactly as the acceptance gate draws and
+    judges them; failures are entries, not errors."""
+    return (_check_beamformer_vs_grid() + _check_two_antenna() + _check_detectors()
+            + _check_clt_moments() + _check_quadrature())

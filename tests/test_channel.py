@@ -65,6 +65,15 @@ class TestStreams:
             StreamBank(2.5, "data")
         with pytest.raises(TypeError):
             StreamBank(1, "data").trial(2.7)
+        # nor does a bool stand for 0 or 1
+        with pytest.raises(TypeError):
+            substream(True, 0)
+        with pytest.raises(TypeError):
+            substream(1, False)
+        with pytest.raises(TypeError):
+            StreamBank(True, "data")
+        with pytest.raises(TypeError):
+            StreamBank(1, "data").trial(True)
         want = substream(1, 2, "data").standard_normal(4)
         assert np.array_equal(substream(np.uint64(1), np.int64(2), "data").standard_normal(4), want)
         assert np.array_equal(StreamBank(np.int32(1), "data").trial(np.int64(2)).standard_normal(4), want)
@@ -253,6 +262,10 @@ class TestNoise:
             NoiseModel(n0=float("inf"))
         with pytest.raises(ValueError):
             NoiseModel.from_snr_db(float("-inf"))
+        # 10^310 overflows Python's float power; the error names the SNR
+        with pytest.raises(ValueError, match="-3100 dB"):
+            NoiseModel.from_snr_db(-3100)
+        assert NoiseModel.from_snr_db(-3000).n0 == 1e300
         with pytest.raises(ValueError):
             NoiseModel.from_rho(0.0)
 

@@ -52,6 +52,10 @@ class TestSskMapping:
             for l in (-1, 4):
                 with pytest.raises(IndexError):
                     transmit_pb(gains, l, NoiseModel(0.0), substream(21, 1, "data"))
+            # numpy would read a bool as a mask and return every gain
+            for l in (True, np.True_):
+                with pytest.raises(TypeError):
+                    transmit_pb(gains, l, NoiseModel(0.0), substream(21, 1, "data"))
 
     def test_label_bit_errors_is_hamming_distance(self):
         assert label_bit_errors(0, 0) == 0
@@ -72,6 +76,13 @@ class TestSskMapping:
                 label_bit_errors(sent, detected)
         # the beamformed schemes count (b, 0) surface columns
         assert label_bit_errors(np.zeros((5, 0), int), np.zeros((5, 0), int)) == 0
+
+    def test_label_bit_errors_rejects_unequal_shapes(self):
+        # broadcast, (2,) against (2, 1) would count a 2x2 cross product
+        for sent, detected in [(np.array([1, 2]), np.array([[1], [2]])), (np.zeros((5, 0), int), np.zeros(5, int)),
+                               (np.array([1]), 1)]:
+            with pytest.raises(ValueError, match="shapes differ"):
+                label_bit_errors(sent, detected)
 
 
 class TestTransmitPb:
