@@ -22,7 +22,6 @@ from .astbc_link import (
 from .beamform import (
     ReflectionVector,
     brute_force_beamform,
-    intelligent_ris_phases,
     low_complexity_beamform,
     min_pairwise_distance,
     optimal_two_tx,

@@ -14,6 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _integer(name: str, v, least: int) -> int:
+    """``v`` as an int of at least ``least``; numpy integers are accepted,
+    and a bool or non-integer raises ValueError rather than standing in for
+    an integer."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return int(v)  # np.log2 of a numpy uint8 runs in float16
+
+
 @dataclass(frozen=True)
 class AbepQuery:
     """Operating point for the closed forms: finite positive linear SNR, and
@@ -26,19 +37,12 @@ class AbepQuery:
     m: int = 2
 
     def __post_init__(self):
-        if not 0 < self.rho < np.inf:  # also rejects NaN
-            raise ValueError(f"linear SNR must be finite and positive, got {self.rho}")
-        for name in ("n", "nt", "m"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))  # np.log2 of a numpy uint8 runs in float16
-        if self.n < 1:
-            raise ValueError("element count must be at least 1")
-        if self.nt < 2:
-            raise ValueError("the closed forms need at least two transmit antennas")
+        if isinstance(self.rho, (bool, np.bool_)) or not 0 < self.rho < np.inf:  # also rejects NaN
+            raise ValueError(f"linear SNR must be a finite positive number, got {self.rho!r}")
+        for name, least in (("n", 1), ("nt", 2), ("m", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name, v in (("nt", self.nt), ("m", self.m)):
-            if v < 1 or v & (v - 1):
+            if v & (v - 1):
                 raise ValueError(f"{name} must be a power of two")
 
 
@@ -53,6 +57,7 @@ class GaussianApproxParams:
 
     @classmethod
     def from_elements(cls, n: int) -> "GaussianApproxParams":
+        n = _integer("n", n, 1)
         mu = np.sqrt(2.0) / 4.0 * np.pi * n
         return cls(mu_v=mu, sigma_v2=(2.0 - np.pi**2 / 8.0) * n, a2=mu * mu)
 

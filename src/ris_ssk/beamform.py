@@ -8,8 +8,7 @@ return unit-modulus coefficients; the closed forms take leading trial axes:
 * a semidefinite-relaxation pipeline (low-rank factorized first-order solve,
   Gaussian randomization rounding, unit-modulus polish),
 * a candidate-set heuristic built from the pairwise closed forms,
-* an exhaustive phase-grid search used as a validation oracle,
-* instantaneous-SNR alignment to each possible active antenna (baseline scheme).
+* an exhaustive phase-grid search used as a validation oracle.
 """
 
 from __future__ import annotations
@@ -123,16 +122,6 @@ def optimal_two_tx(ch: ChannelRealization) -> np.ndarray:
     if ch.nt != 2:
         raise ValueError("closed form requires exactly two transmit antennas")
     return _align(_pair_rows(ch)[..., 0, :])
-
-
-def intelligent_ris_phases(ch: ChannelRealization) -> np.ndarray:
-    """Coefficients aligning every element to the cascade of each antenna.
-
-    Row l of the (..., Nt, N) result maximizes the instantaneous receive
-    SNR when the 0-based antenna l is active; its cascade is real and equals
-    sum_i |f_i| |g_il|.
-    """
-    return _align(ch.f[..., None, :] * np.swapaxes(ch.G, -1, -2))
 
 
 def low_complexity_beamform(ch: ChannelRealization) -> np.ndarray:

@@ -136,6 +136,13 @@ def raw_indices(words, bounds):
     return (halves >> shifts).astype(np.int64)
 
 
+def _reject_bool(what: str, v) -> None:
+    """TypeError for a bool or numpy.bool where a number belongs: True would
+    otherwise stand in for 1."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{what} is a number, not a bool: {v!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Complex AWGN at the destination with variance ``n0`` per sample.
@@ -147,6 +154,7 @@ class NoiseModel:
     n0: float
 
     def __post_init__(self):
+        _reject_bool("a noise variance", self.n0)
         if not 0 <= self.n0 < math.inf:  # also rejects NaN
             raise ValueError(f"noise variance must be finite and nonnegative, got {self.n0}")
 
@@ -157,6 +165,7 @@ class NoiseModel:
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseModel":
+        _reject_bool("an SNR", snr_db)
         try:
             return cls(n0=10.0 ** (-snr_db / 10.0))
         except OverflowError:
@@ -164,6 +173,7 @@ class NoiseModel:
 
     @classmethod
     def from_rho(cls, rho: float) -> "NoiseModel":
+        _reject_bool("an SNR", rho)
         if rho <= 0:
             raise ValueError("linear SNR must be positive")
         return cls(n0=1.0 / rho)
@@ -253,6 +263,7 @@ def cascaded_gains(G: np.ndarray, f: np.ndarray, coeffs) -> np.ndarray:
     coefficient rows c_k, shaped (..., K, Nt).
 
     G is (..., N, Nt), f is (..., N) and coeffs is (..., K, N); a single
-    coefficient vector (N,) is the case K = 1.
+    coefficient vector (N,), or a scalar shared by every element, is the
+    case K = 1.
     """
     return (coeffs * f[..., None, :]) @ G

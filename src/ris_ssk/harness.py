@@ -210,8 +210,8 @@ _CHUNK_ELEMENTS = 1 << 16
 # The surface schemes' kernels hold about this many (rows, N) complex arrays
 # per trial at once: G, f and the coefficients, then the alignment and gain
 # temporaries.  Each counts against the cap, so a pb or intelligent-ris-ssk
-# chunk at N=64, Nt=2 holds 128 trials (1.0 and 1.4 MB traced a sweep,
-# against 3.7 and 5.0 MB when only G counted), and each of
+# chunk at N=64, Nt=2 holds 128 trials (1.0 and 0.8 MB traced a sweep;
+# pb traced 3.7 MB when only G counted), and each of
 # pb-lowcomplexity's (pairs, N) candidate temporaries holds about 2^14
 # elements (9% faster a trial than 2^16 at N=16, Nt=4 and 36% at N=64,
 # Nt=8, 2-vCPU Xeon).
@@ -230,9 +230,7 @@ def _trial_elements(cfg: SimConfig) -> int:
         return 2 * nt
     if cfg.scheme == "pb-lowcomplexity":
         return _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2)
-    # intelligent-ris-ssk's (Nt, Nt) gain table outgrows the (Nt, N) arrays
-    # once Nt > N
-    return _LIVE_TEMPORARIES * max(n, nt) * nt
+    return _LIVE_TEMPORARIES * n * nt
 
 
 def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
@@ -287,9 +285,8 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     chunk's row of ``z`` (for traditional-ssk only its 2·Nt direct-link
     normals), the pb-sdr solve on the trial's sdr stream, then the antenna
     index from one raw word and the noise through ``transmit_pb``.
-    Beamforming, the cascaded-gain table (the gains of all antennas as the
-    receiver sees them while antenna l is active) and the ML decision run
-    once per chunk.
+    Beamforming, the receive points (one noiseless point per antenna and
+    trial) and the ML decision run once per chunk.
     """
     n, nt, scheme = cfg.n, cfg.nt, cfg.scheme
     ch_bank = StreamBank(cfg.seed, "channel")
@@ -306,27 +303,29 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
         if direct:
             for t in range(b):
                 ch_bank.trial(at + t).standard_normal(out=z[t])
-            table = np.broadcast_to(complex_normals(z[:b])[:, None], (b, nt, nt))
+            points = complex_normals(z[:b])
         else:
             for t in range(b):
                 ch = sample_channel(n, nt, ch_bank.trial(at + t), out=z[t])
                 if sdr_bank is not None:
                     coeff[t] = beamform.sdr_beamform(ch, sdr_bank.trial(at + t)).phi
             chs = ChannelRealization(*channel_views(z[:b], n, nt))
-            if scheme == "intelligent-ris-ssk":  # realigned to each active antenna
-                table = cascaded_gains(chs.G, chs.f, beamform.intelligent_ris_phases(chs))
+            if scheme == "intelligent-ris-ssk":
+                # hypothesis a aligns the surface to antenna a, whose
+                # noiseless point is then sum_i |f_i| |g_ia|
+                points = cascaded_gains(np.abs(chs.G), np.abs(chs.f), 1.0)[:, 0]
             else:
                 if scheme == "pb":
                     coeff[:b] = beamform.optimal_two_tx(chs)
                 elif scheme == "pb-lowcomplexity":
                     coeff[:b] = beamform.low_complexity_beamform(chs)
-                table = np.broadcast_to(cascaded_gains(chs.G, chs.f, coeff[:b, None]), (b, nt, nt))
+                points = cascaded_gains(chs.G, chs.f, coeff[:b, None])[:, 0]
         for t in range(b):
             rng = data_bank.trial(at + t)
             l = raw_indices(rng.bit_generator.random_raw(), nt)
             sent[t, 0] = l
-            y[t] = pb_link.transmit_pb(table[t, l], l, noise, rng)
-        yield sent[:b], pb_link.detect_pb_ml(y[:b], table[np.arange(b), sent[:b, 0]])[:, None]
+            y[t] = pb_link.transmit_pb(points[t], l, noise, rng)
+        yield sent[:b], pb_link.detect_pb_ml(y[:b], points)[:, None]
 
 
 def _chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):

@@ -302,12 +302,18 @@ class TestAbepQueryValidation:
             AbepQuery(rho=1.0, n=8, nt=3)
         with pytest.raises(ValueError):
             AbepQuery(rho=1.0, n=8, m=6)
+        # the element count follows AbepQuery's integer rule here too
+        for n in (0, -3, 1.5, 8.0, True, np.True_, "8"):
+            with pytest.raises(ValueError):
+                GaussianApproxParams.from_elements(n)
+        assert GaussianApproxParams.from_elements(np.int64(8)) == GaussianApproxParams.from_elements(8)
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(rho=np.nan), dict(rho=np.inf), dict(rho=-1.0), dict(nt=1),
+        [dict(rho=np.nan), dict(rho=np.inf), dict(rho=-1.0), dict(rho=True), dict(rho=np.True_), dict(nt=1),
          dict(n=2.5), dict(n=True), dict(nt=2.0), dict(nt=True), dict(m=2.0), dict(m=False)],
-        ids=["nan", "inf", "negative", "nt1", "n-float", "n-bool", "nt-float", "nt-bool", "m-float", "m-bool"],
+        ids=["nan", "inf", "negative", "rho-bool", "rho-numpy-bool", "nt1", "n-float", "n-bool", "nt-float",
+             "nt-bool", "m-float", "m-bool"],
     )
     def test_rejects_points_without_a_closed_form(self, kw):
         # a NaN or inf rho would give NaN ABEPs, nt=1 a division by zero in

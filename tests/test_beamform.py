@@ -9,7 +9,6 @@ from ris_ssk.beamform import (
     _pair_rows,
     _unit_rows,
     brute_force_beamform,
-    intelligent_ris_phases,
     low_complexity_beamform,
     min_pairwise_distance,
     optimal_two_tx,
@@ -118,7 +117,7 @@ class TestLeadingTrialAxes:
         chs[3] = ChannelRealization(G=chs[3].G, f=np.zeros(8, complex))  # zero-gain row
         batch = _stack(chs)
         two = [optimal_two_tx] if nt == 2 else []
-        for beamformer in [low_complexity_beamform, intelligent_ris_phases] + two:
+        for beamformer in [low_complexity_beamform] + two:
             got = beamformer(batch)
             for t, ch in enumerate(chs):
                 assert np.array_equal(got[t], beamformer(ch))
@@ -213,24 +212,33 @@ class TestBruteForce:
             brute_force_beamform(ch, 16)
 
 
+def _aligned(ch, l):
+    """The intelligent baseline's coefficients while antenna l is active:
+    every element's cascade f_i g_il turned onto the positive real axis."""
+    return beamform._align(ch.f * ch.G[:, l])
+
+
 class TestIntelligentPhases:
     def test_sign_flip_single_element(self):
         ch = ChannelRealization(G=np.array([[-1.0 + 0j]]), f=np.array([1.0 + 0j]))
-        phases = intelligent_ris_phases(ch)
-        assert phases.shape == (1, 1)
-        assert phases[0, 0] == pytest.approx(-1.0)
-        assert _gain(ch, phases[0], 0) == pytest.approx(1.0)
+        phi = _aligned(ch, 0)
+        assert phi.shape == (1,)
+        assert phi[0] == pytest.approx(-1.0)
+        assert _gain(ch, phi, 0) == pytest.approx(1.0)
 
     def test_gain_equals_modulus_sum(self):
+        # the sweeps' receive points for this baseline: hypothesis l's
+        # noiseless point is the aligned cascade sum_i |f_i| |g_il|
         ch = _channel(16, 4, 59)
-        table = cascaded_gains(ch.G, ch.f, intelligent_ris_phases(ch))
+        points = cascaded_gains(np.abs(ch.G), np.abs(ch.f), 1.0)[0]
         for l in range(4):
             want = np.sum(np.abs(ch.f) * np.abs(ch.G[:, l]))
-            assert table[l, l] == pytest.approx(want, rel=1e-12)
+            assert cascaded_gains(ch.G, ch.f, _aligned(ch, l))[0, l] == pytest.approx(want, rel=1e-12)
+            assert points[l] == pytest.approx(want, rel=1e-12)
 
     def test_dominates_random_phases(self):
         ch = _channel(8, 2, 61)
-        phi = intelligent_ris_phases(ch)[1]
+        phi = _aligned(ch, 1)
         best = abs(_gain(ch, phi, 1)) ** 2
         rng = substream(61, 1, "oracle")
         for _ in range(1000):

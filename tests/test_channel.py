@@ -268,6 +268,11 @@ class TestNoise:
         assert NoiseModel.from_snr_db(-3000).n0 == 1e300
         with pytest.raises(ValueError):
             NoiseModel.from_rho(0.0)
+        # True would stand in for 1: n0 = True, rho = 1 or a 1 dB point
+        for flag in (True, np.True_):
+            for make in (NoiseModel, NoiseModel.from_rho, NoiseModel.from_snr_db):
+                with pytest.raises(TypeError):
+                    make(flag)
 
 
 def _gain(ch, phi, l):

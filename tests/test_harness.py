@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ris_ssk import analysis, astbc_link, beamform, cli, harness
-from ris_ssk.channel import NoiseModel, StreamBank, sample_awgn, sample_channel, substream
+from ris_ssk.channel import NoiseModel, StreamBank, complex_normals, sample_awgn, sample_channel, substream
 from ris_ssk.harness import (
     BerRecord,
     CheckResult,
@@ -344,10 +344,10 @@ class TestCodedKernel:
             (dict(scheme="pb", n=16, snr_db_grid=(-16.0, -12.0), seed=41), [(55, None), (5, None)]),
             (dict(scheme="pb-lowcomplexity", nt=4, snr_db_grid=(-8.0, -4.0), seed=42), [(578, None), (230, None)]),
             (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(8, None), (1, None)]),
-            (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(468, None), (195, None)]),
+            (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(1698, None), (1573, None)]),
             (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1151, None), (730, None)]),
             (dict(scheme="pb-lowcomplexity", nt=8, snr_db_grid=(-4.0, 0.0), seed=46), [(1030, None), (427, None)]),
-            (dict(scheme="intelligent-ris-ssk", nt=8, snr_db_grid=(-6.0, -2.0), seed=47), [(430, None), (183, None)]),
+            (dict(scheme="intelligent-ris-ssk", nt=8, snr_db_grid=(-6.0, -2.0), seed=47), [(2598, None), (2335, None)]),
             (dict(scheme="traditional-ssk", nt=8, snr_db_grid=(5.0, 10.0), seed=48), [(1510, None), (753, None)]),
             (dict(scheme="pb", n=64, snr_db_grid=(-28.0,), trials=5000, seed=50), [(121, None)]),
         ],
@@ -364,7 +364,11 @@ class TestCodedKernel:
         # traditional-ssk counts were recorded again when its channel stream
         # came to hold only the 2·Nt direct-link normals, after they matched
         # the scalar reference of TestPbKernel on the same draws and a
-        # workers=2 run.  The N=64 pb point spans forty chunks.
+        # workers=2 run, and the intelligent-ris-ssk counts when its receiver
+        # came to compare y with every hypothesis's aligned point
+        # sum_i |f_i| |g_ia| instead of the points under the sent antenna's
+        # alignment, after they matched the scalar reference and a workers=2
+        # run.  The N=64 pb point spans forty chunks.
         records = run_ber_sweep(_cfg(**{"trials": 2000, **kw}))
         assert [(r.source_errors, r.ris_errors) for r in records] == want
 
@@ -477,12 +481,14 @@ def _pb_reference(cfg, snr_db, start, count, zero_at):
         else:
             ch = sample_channel(cfg.n, cfg.nt, bank.trial(k))
             if cfg.scheme == "intelligent-ris-ssk":
-                phi = beamform.intelligent_ris_phases(ch)[l]
-            elif cfg.scheme == "pb-sdr":
-                phi = beamform.sdr_beamform(ch, substream(cfg.seed, k, "sdr")).phi
+                # hypothesis a's point, with the surface aligned to antenna a
+                gains = [sum(abs(ch.f[i] * ch.G[i, a]) for i in range(cfg.n)) for a in range(cfg.nt)]
             else:
-                phi = beamformers[cfg.scheme](ch)
-            gains = [sum(ch.f[i] * ch.G[i, a] * phi[i] for i in range(cfg.n)) for a in range(cfg.nt)]
+                if cfg.scheme == "pb-sdr":
+                    phi = beamform.sdr_beamform(ch, substream(cfg.seed, k, "sdr")).phi
+                else:
+                    phi = beamformers[cfg.scheme](ch)
+                gains = [sum(ch.f[i] * ch.G[i, a] * phi[i] for i in range(cfg.n)) for a in range(cfg.nt)]
         y = gains[l] + sample_awgn(noise, rng)
         out.append((l, min(range(cfg.nt), key=lambda a: abs(y - gains[a]))))
     return out
@@ -551,6 +557,47 @@ class TestDirectLinkBaseline:
             for n in (1, 8, 64)
         ]
         assert counts[0] == counts[1] == counts[2]
+
+
+class TestAlignmentBaseline:
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_ber_matches_bulk_channel_oracle(self, n):
+        # Nt=2: hypothesis a's point is the real B_a = sum_i |f_i| |g_ia|, so
+        # y = B_l + w errs with probability Q(|D| / sqrt(2 N0)), D = B_1 - B_2.
+        # The oracle averages that over bulk draws on the oracle stream; the
+        # CLT takes D as N(0, N(2 - pi/2)), which gives the arctan form.
+        snr_db, draws, chunk = -10.0, 200_000, 20_000
+        cfg = _cfg(scheme="intelligent-ris-ssk", n=n, snr_db_grid=(snr_db,), trials=100_000, seed=12)
+        (r,) = run_ber_sweep(cfg)
+        rho = 10 ** (snr_db / 10)
+        rng = substream(12, n, "oracle")
+        oracle = 0.0
+        for _ in range(draws // chunk):
+            mag = np.abs(complex_normals(rng.standard_normal((chunk, 6 * n))))
+            f, g1, g2 = mag[:, :n], mag[:, n : 2 * n], mag[:, 2 * n :]
+            d = (f * (g1 - g2)).sum(axis=1)
+            oracle += analysis.q_exact(np.abs(d) * math.sqrt(rho / 2)).sum() / draws
+        clt = 0.5 - math.atan(math.sqrt(rho * n * (2 - math.pi / 2) / 2)) / math.pi
+        lo, hi = binomial_confidence(r.source_errors, r.trials)  # one bit a trial
+        assert lo <= oracle <= hi, (r.ber_source, lo, hi, oracle, clt)
+        assert clt == pytest.approx(oracle, rel=0.05)
+
+
+class TestBeamformingBeatsBaselines:
+    @pytest.mark.parametrize("nt", [4, 8])
+    def test_low_complexity_beats_both_baselines(self, nt):
+        # the abstract's claim beyond criterion 5's Nt=2, by its 3-sigma rule
+        trials = 10_000
+        ber = {
+            scheme: [r.ber_source for r in run_ber_sweep(
+                _cfg(scheme=scheme, n=32, nt=nt, snr_db_grid=(-15.0, -10.0), trials=trials, seed=52))]
+            for scheme in ("pb-lowcomplexity", "intelligent-ris-ssk", "traditional-ssk")
+        }
+        pb = ber.pop("pb-lowcomplexity")
+        for scheme, base in ber.items():
+            for a, b in zip(pb, base):
+                sigma = math.sqrt((a * (1 - a) + b * (1 - b)) / trials)
+                assert a <= b - 3 * sigma, (scheme, pb, base)
 
 
 class TestAnalyticSweep:
@@ -730,10 +777,14 @@ class TestBinomialConfidence:
             binomial_confidence(errors, trials)
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 class TestCli:
     def test_readme_command_lines_parse(self):
         # every `ris-ssk ...` line of README's sh blocks, so a renamed or removed option shows here
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = _readme()
         lines = [
             line
             for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
@@ -744,6 +795,13 @@ class TestCli:
         parser = cli.build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_readme_library_sketch_runs(self):
+        # the README's Python sketch, so a renamed or removed export it names shows here
+        (sketch,) = re.findall(r"## Library sketch\n\n```python\n(.*?)```", _readme(), re.S)
+        namespace = {}
+        exec(compile(sketch, "README.md", "exec"), namespace)
+        assert [r.trials for r in namespace["records"]] == [10_000] * 3
 
     def test_snr_grid_parsing(self):
         assert cli._parse_snr_grid("-6:-2:2") == (-6.0, -4.0, -2.0)
