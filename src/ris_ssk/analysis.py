@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _integer(name: str, v, least: int) -> int:
-    """``v`` as an int of at least ``least``; numpy integers are accepted,
-    and a bool or non-integer raises ValueError rather than standing in for
-    an integer."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if v < least:
-        raise ValueError(f"{name} must be at least {least}, got {v}")
-    return int(v)  # np.log2 of a numpy uint8 runs in float16
+from .channel import _integer, _real
 
 
 @dataclass(frozen=True)
@@ -37,7 +28,8 @@ class AbepQuery:
     m: int = 2
 
     def __post_init__(self):
-        if isinstance(self.rho, (bool, np.bool_)) or not 0 < self.rho < np.inf:  # also rejects NaN
+        object.__setattr__(self, "rho", _real("rho", self.rho))
+        if not 0 < self.rho < np.inf:  # also rejects NaN
             raise ValueError(f"linear SNR must be a finite positive number, got {self.rho!r}")
         for name, least in (("n", 1), ("nt", 2), ("m", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))

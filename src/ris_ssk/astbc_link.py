@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import cascaded_gains
+
 # Unused here; perfbench's tracer is its only reader, wrapping it under this module.
 from .channel import sample_awgn
 
@@ -54,10 +56,10 @@ def sub_surface_sums(G: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n = f.shape[-1]
     if n % 2:
         raise ValueError("element count must be even for two sub-surfaces")
-    half = n // 2
-    h1 = (f[..., None, :half] @ G[..., :half, :])[..., 0, :]
-    h2 = (f[..., None, half:] @ G[..., half:, :])[..., 0, :]
-    return h1, h2
+    # the cascaded gains of each half of the surface under unit coefficients
+    halves = G.reshape(*G.shape[:-2], 2, n // 2, G.shape[-1]), f.reshape(*f.shape[:-1], 2, n // 2)
+    sums = cascaded_gains(*halves, 1.0)[..., 0, :]
+    return sums[..., 0, :], sums[..., 1, :]
 
 
 def coded_slots(h1, h2, a1, a2):

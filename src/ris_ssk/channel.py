@@ -9,7 +9,7 @@ processes.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +36,31 @@ def _purpose_code(purpose: str) -> int:
     return code
 
 
+def _integer(name: str, v, least: int | None = None, below: int | None = None) -> int:
+    """``v`` as an int in [least, below), either end optional: the package's
+    one number rule, with :func:`_real`.  Numpy integers are accepted; a bool,
+    numpy.bool or non-integer raises TypeError (True would stand in for 1, 2.5
+    truncate onto another stream), and an out-of-range value ValueError."""
+    if type(v) is not int:  # the per-trial callers pass plain ints
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {v!r}")
+        v = int(v)  # np.log2 of a numpy uint8 runs in float16
+    if least is not None and v < least or below is not None and v >= below:
+        span = f"at least {least}" if below is None else f"in [{least}, {below})"
+        raise ValueError(f"{name} must be {span}, got {v}")
+    return v
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a float; a bool, numpy.bool or non-real raises TypeError."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _philox_key(seed: int, trial: int, purpose: str) -> np.ndarray:
-    if isinstance(seed, bool) or isinstance(trial, bool):
-        raise TypeError(f"seeds and trial indices are integers, not bools: {seed!r}, {trial!r}")
-    seed, trial = operator.index(seed), operator.index(trial)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    if not 0 <= trial < TRIAL_LIMIT:
-        raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
+    seed = _integer("seed", seed, 0, SEED_LIMIT)
+    trial = _integer("trial index", trial, 0, TRIAL_LIMIT)
     key = np.empty(2, dtype=np.uint64)
     key[0] = np.uint64(seed)
     key[1] = (np.uint64(trial) << np.uint64(16)) | np.uint64(_purpose_code(purpose))
@@ -89,20 +106,15 @@ class StreamBank:
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
-        if isinstance(trial, bool):
-            raise TypeError(f"trial indices are integers, not bools: {trial!r}")
-        trial = operator.index(trial)
-        if not 0 <= trial < TRIAL_LIMIT:
-            raise ValueError(f"trial index must be in [0, 2^48), got {trial}")
-        self._key[1] = (trial << 16) | self._purpose
+        self._key[1] = (_integer("trial index", trial, 0, TRIAL_LIMIT) << 16) | self._purpose
         self._bg.state = self._state
         return self._gen
 
 
 def _index_shift(bound) -> int:
-    bound = operator.index(bound)
-    if not 2 <= bound <= 1 << 32 or bound & (bound - 1):
-        raise ValueError(f"index bounds must be powers of two in [2, 2^32], got {bound}")
+    bound = _integer("an index bound", bound, 2, (1 << 32) + 1)
+    if bound & (bound - 1):
+        raise ValueError(f"index bounds must be powers of two, got {bound}")
     return 33 - bound.bit_length()
 
 
@@ -136,13 +148,6 @@ def raw_indices(words, bounds):
     return (halves >> shifts).astype(np.int64)
 
 
-def _reject_bool(what: str, v) -> None:
-    """TypeError for a bool or numpy.bool where a number belongs: True would
-    otherwise stand in for 1."""
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError(f"{what} is a number, not a bool: {v!r}")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Complex AWGN at the destination with variance ``n0`` per sample.
@@ -154,7 +159,7 @@ class NoiseModel:
     n0: float
 
     def __post_init__(self):
-        _reject_bool("a noise variance", self.n0)
+        object.__setattr__(self, "n0", _real("a noise variance", self.n0))
         if not 0 <= self.n0 < math.inf:  # also rejects NaN
             raise ValueError(f"noise variance must be finite and nonnegative, got {self.n0}")
 
@@ -165,16 +170,14 @@ class NoiseModel:
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseModel":
-        _reject_bool("an SNR", snr_db)
         try:
-            return cls(n0=10.0 ** (-snr_db / 10.0))
+            return cls(n0=10.0 ** (-_real("an SNR", snr_db) / 10.0))
         except OverflowError:
             raise ValueError(f"an SNR of {snr_db} dB puts the noise variance beyond float range") from None
 
     @classmethod
     def from_rho(cls, rho: float) -> "NoiseModel":
-        _reject_bool("an SNR", rho)
-        if rho <= 0:
+        if _real("an SNR", rho) <= 0:
             raise ValueError("linear SNR must be positive")
         return cls(n0=1.0 / rho)
 

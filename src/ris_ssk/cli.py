@@ -22,7 +22,8 @@ _MAX_GRID_POINTS = 10_000
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'; only
-    the list form can hold the noiseless point inf."""
+    the list form can hold the noiseless point inf.  An empty grid is left
+    to the sweep's grid rule."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -40,12 +41,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if count > _MAX_GRID_POINTS:
             raise ValueError(f"SNR points of a start:stop:step grid number {count}, "
                              f"over the limit of {_MAX_GRID_POINTS}: {text!r}")
-        grid = tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
-    else:
-        grid = tuple(float(p) for p in text.split(",") if p.strip())
-    if not grid:
-        raise ValueError(f"empty SNR grid: {text!r}")
-    return grid
+        return tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 def load_config_file(path: str) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -24,6 +23,8 @@ from .channel import (
     ChannelRealization,
     NoiseModel,
     StreamBank,
+    _integer,
+    _real,
     cascaded_gains,
     channel_draw_size,
     channel_views,
@@ -57,17 +58,11 @@ class ConfigError(ValueError):
 _INT_FIELDS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
 
 
-def _require_integers(**values) -> None:
-    """Reject settings that are not integers (None passes): a float would
-    otherwise alias an integer stream or fail deep in a kernel."""
-    for name, v in values.items():
-        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-
-
-def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
-    """The scheme and dimension rules that sweeps and theory curves share."""
-    _require_integers(n=n, nt=nt, m=m)
+def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> tuple[int, int, int | None]:
+    """The scheme and dimension rules that sweeps and theory curves share;
+    returns (n, nt, m) as ints."""
+    n, nt = _integer("n", n), _integer("nt", nt)
+    m = None if m is None else _integer("m", m)
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if n < 1:
@@ -83,6 +78,7 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> None:
             raise ConfigError("astbc schemes need a power-of-two PSK order m")
     elif m is not None:
         raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
+    return n, nt, m
 
 
 # Finite SNR points lie within +-3000 dB: a noise variance of at most 1e300
@@ -93,14 +89,11 @@ _SNR_LIMIT_DB = 3000.0
 
 def _snr_grid(grid) -> tuple[float, ...]:
     """The SNR grid rule that sweeps and theory curves share: a nonempty,
-    strictly increasing sequence of real, non-bool numbers above -inf dB
-    (+inf is noiseless) whose finite points lie within +-3000 dB, returned
-    as floats."""
-    # A string would sweep its characters and True would sweep 1 dB.
-    points = None if isinstance(grid, (str, bytes)) else tuple(grid)
-    if points is None or any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in points):
-        raise ConfigError(f"SNR grid must be a sequence of real numbers, got {grid!r}")
-    points = tuple(float(s) for s in points)
+    strictly increasing sequence of real numbers above -inf dB (+inf is
+    noiseless) whose finite points lie within +-3000 dB, returned as floats."""
+    if isinstance(grid, (str, bytes)):  # it would sweep its characters
+        raise TypeError(f"SNR grid must be a sequence of real numbers, got {grid!r}")
+    points = tuple(_real("an SNR point", s) for s in grid)
     if not points:
         raise ConfigError("SNR grid must be nonempty")
     if any(math.isnan(s) or s == -math.inf for s in points):
@@ -138,15 +131,11 @@ class SimConfig:
     record_wall_time: bool = False
 
     def __post_init__(self):
-        # numpy integers would reach the records and break JSON output.
-        for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, np.integer):
-                object.__setattr__(self, name, int(v))
         object.__setattr__(self, "snr_db_grid", _snr_grid(self.snr_db_grid))
-        _require_integers(
-            trials=self.trials, seed=self.seed, workers=self.workers, target_errors=self.target_errors
-        )
+        # held as ints: numpy integers would reach the records and break JSON output
+        for name in _INT_FIELDS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         _check_dimensions(self.scheme, self.n, self.nt, self.m)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -437,8 +426,7 @@ def analytic_sweep(
 
     ``ber_source`` mirrors the closed form and is None where there is none.
     """
-    _check_dimensions(scheme, n, nt, m)
-    n, nt, m = int(n), int(nt), None if m is None else int(m)
+    n, nt, m = _check_dimensions(scheme, n, nt, m)
     return [
         _record(scheme, n, nt, m, snr_db, trials=0, source_errors=0, ris_errors=None, seed=0, wall_time_s=None)
         for snr_db in _snr_grid(snr_db_grid)
@@ -466,8 +454,7 @@ def estimate_diversity_slope(records: list[BerRecord]) -> float:
 def binomial_confidence(errors: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for an error rate (z standard deviations) over
     ``trials`` Bernoulli trials (bits, for a BER); exactly 0 or 1 at the ends."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    errors, trials = _integer("errors", errors), _integer("trials", trials, 1)
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors} of {trials}")
     p = errors / trials

@@ -303,22 +303,28 @@ class TestAbepQueryValidation:
         with pytest.raises(ValueError):
             AbepQuery(rho=1.0, n=8, m=6)
         # the element count follows AbepQuery's integer rule here too
-        for n in (0, -3, 1.5, 8.0, True, np.True_, "8"):
+        for n in (0, -3):
             with pytest.raises(ValueError):
+                GaussianApproxParams.from_elements(n)
+        for n in (1.5, 8.0, True, np.True_, "8"):
+            with pytest.raises(TypeError):
                 GaussianApproxParams.from_elements(n)
         assert GaussianApproxParams.from_elements(np.int64(8)) == GaussianApproxParams.from_elements(8)
 
     @pytest.mark.parametrize(
-        "kw",
-        [dict(rho=np.nan), dict(rho=np.inf), dict(rho=-1.0), dict(rho=True), dict(rho=np.True_), dict(nt=1),
-         dict(n=2.5), dict(n=True), dict(nt=2.0), dict(nt=True), dict(m=2.0), dict(m=False)],
+        "kw, error",
+        [(dict(rho=np.nan), ValueError), (dict(rho=np.inf), ValueError), (dict(rho=-1.0), ValueError),
+         (dict(rho=True), TypeError), (dict(rho=np.True_), TypeError), (dict(nt=1), ValueError),
+         (dict(n=2.5), TypeError), (dict(n=True), TypeError), (dict(nt=2.0), TypeError),
+         (dict(nt=True), TypeError), (dict(m=2.0), TypeError), (dict(m=False), TypeError)],
         ids=["nan", "inf", "negative", "rho-bool", "rho-numpy-bool", "nt1", "n-float", "n-bool", "nt-float",
              "nt-bool", "m-float", "m-bool"],
     )
-    def test_rejects_points_without_a_closed_form(self, kw):
+    def test_rejects_points_without_a_closed_form(self, kw, error):
         # a NaN or inf rho would give NaN ABEPs, nt=1 a division by zero in
-        # abep_source, and a fractional or bool count numbers for no surface
-        with pytest.raises(ValueError):
+        # abep_source, and a fractional or bool count numbers for no surface;
+        # a wrong type is a TypeError, a value out of range a ValueError
+        with pytest.raises(error):
             AbepQuery(**{"rho": 1.0, "n": 8, **kw})
 
     def test_accepts_numpy_integers(self):

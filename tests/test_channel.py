@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ris_ssk
 from ris_ssk.channel import (
     ChannelRealization,
     NoiseModel,
@@ -77,6 +80,50 @@ class TestStreams:
         want = substream(1, 2, "data").standard_normal(4)
         assert np.array_equal(substream(np.uint64(1), np.int64(2), "data").standard_normal(4), want)
         assert np.array_equal(StreamBank(np.int32(1), "data").trial(np.int64(2)).standard_normal(4), want)
+
+
+def _is_type_check(node) -> bool:
+    """Is ``node`` np.bool_, or an isinstance test against bool or a
+    ``numbers`` class such as numbers.Real?"""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return (node.value.id, node.attr) in (("np", "bool_"), ("np", "bool"), ("numpy", "bool_"))
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return False
+    classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(
+        isinstance(c, ast.Name) and c.id == "bool"
+        or isinstance(c, ast.Attribute) and isinstance(c.value, ast.Name) and c.value.id == "numbers"
+        for c in classes
+    )
+
+
+def _type_check_sites() -> set[tuple[str, int, str]]:
+    """(module, line, enclosing function's qualified name) of every type
+    check in the package's modules."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if _is_type_check(child):
+                sites.add((module, child.lineno, scope))
+            visit(child, module, inner)
+
+    for path in sorted(Path(ris_ssk.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return sites
+
+
+class TestNumberRule:
+    def test_type_checks_live_only_in_the_number_rule(self):
+        # channel._integer and channel._real hold the one rule for what a
+        # number is; an entry point that needs it calls them, so the rule
+        # is extended in one place rather than forked
+        sites = _type_check_sites()
+        scopes = {(module, scope) for module, _, scope in sites}
+        assert scopes == {("channel", "_integer"), ("channel", "_real")}, sorted(sites)
 
 
 class TestRawIndices:

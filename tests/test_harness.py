@@ -45,6 +45,54 @@ def _csv_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+# Each invalid config and the error it raises: ConfigError for a value
+# out of range, TypeError for a wrong type.
+_INVALID_CONFIGS = [
+    (dict(scheme="nope"), ConfigError),
+    (dict(n=0), ConfigError),
+    (dict(nt=3), ConfigError),
+    (dict(scheme="pb", nt=4), ConfigError),
+    (dict(scheme="astbc-fast", m=None), ConfigError),
+    (dict(scheme="astbc-fast", m=3), ConfigError),
+    (dict(scheme="astbc-fast", n=7, m=2), ConfigError),
+    (dict(snr_db_grid=()), ConfigError),
+    (dict(snr_db_grid=(-10.0, -10.0)), ConfigError),
+    (dict(snr_db_grid=(-10.0, -12.0)), ConfigError),
+    (dict(trials=0), ConfigError),
+    (dict(seed=-1), ConfigError),
+    (dict(seed=2**64 + 5), ConfigError),
+    (dict(workers=0), ConfigError),
+    (dict(target_errors=0), ConfigError),
+    (dict(snr_db_grid=(math.nan,)), ConfigError),
+    (dict(snr_db_grid=(-math.inf,)), ConfigError),
+    (dict(snr_db_grid=(-10.0, math.nan)), ConfigError),
+    (dict(scheme="pb", m=4), ConfigError),
+    (dict(scheme="pb-sdr", nt=4, m=2), ConfigError),
+    (dict(scheme="traditional-ssk", m=2), ConfigError),
+    (dict(scheme="astbc-optimal", m=1), ConfigError),
+    # Non-integers are a TypeError: a float seed would alias an
+    # integer seed's streams; the others would fail deep in the kernel.
+    (dict(seed=2.5), TypeError),
+    (dict(seed=3.0), TypeError),
+    (dict(trials=10.5), TypeError),
+    (dict(n=4.0), TypeError),
+    (dict(nt=2.0), TypeError),
+    (dict(scheme="astbc-fast", m=2.0), TypeError),
+    (dict(workers=1.5), TypeError),
+    (dict(target_errors=3.5), TypeError),
+    (dict(n=True), TypeError),
+    # past +-3000 dB: at -3082.5 dB the detectors' squared
+    # distances overflow; past about 3082 dB 10^(s/10) overflows
+    (dict(snr_db_grid=(3000.5,)), ConfigError),
+    (dict(snr_db_grid=(-3082.5,)), ConfigError),
+    (dict(snr_db_grid=(4000.0,)), ConfigError),
+    (dict(snr_db_grid=(-4000.0,)), ConfigError),
+    (dict(snr_db_grid=(-10.0, 3500.0)), ConfigError),
+    # point 1 would reach trial index 2^48
+    (dict(trials=2**47 + 1, snr_db_grid=(0.0, 1.0)), ConfigError),
+]
+
+
 class TestConfigValidation:
     def test_accepts_valid(self):
         _cfg()
@@ -57,55 +105,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, trials=0)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(scheme="nope"),
-            dict(n=0),
-            dict(nt=3),
-            dict(scheme="pb", nt=4),
-            dict(scheme="astbc-fast", m=None),
-            dict(scheme="astbc-fast", m=3),
-            dict(scheme="astbc-fast", n=7, m=2),
-            dict(snr_db_grid=()),
-            dict(snr_db_grid=(-10.0, -10.0)),
-            dict(snr_db_grid=(-10.0, -12.0)),
-            dict(trials=0),
-            dict(seed=-1),
-            dict(seed=2**64 + 5),
-            dict(workers=0),
-            dict(target_errors=0),
-            dict(snr_db_grid=(math.nan,)),
-            dict(snr_db_grid=(-math.inf,)),
-            dict(snr_db_grid=(-10.0, math.nan)),
-            dict(scheme="pb", m=4),
-            dict(scheme="pb-sdr", nt=4, m=2),
-            dict(scheme="traditional-ssk", m=2),
-            dict(scheme="astbc-optimal", m=1),
-            # Non-integers: a float seed would alias an integer seed's
-            # streams; the others would fail deep in the kernel.
-            dict(seed=2.5),
-            dict(seed=3.0),
-            dict(trials=10.5),
-            dict(n=4.0),
-            dict(nt=2.0),
-            dict(scheme="astbc-fast", m=2.0),
-            dict(workers=1.5),
-            dict(target_errors=3.5),
-            dict(n=True),
-            # past +-3000 dB: at -3082.5 dB the detectors' squared
-            # distances overflow; past about 3082 dB 10^(s/10) overflows
-            dict(snr_db_grid=(3000.5,)),
-            dict(snr_db_grid=(-3082.5,)),
-            dict(snr_db_grid=(4000.0,)),
-            dict(snr_db_grid=(-4000.0,)),
-            dict(snr_db_grid=(-10.0, 3500.0)),
-            # point 1 would reach trial index 2^48
-            dict(trials=2**47 + 1, snr_db_grid=(0.0, 1.0)),
-        ],
-    )
-    def test_rejects_invalid(self, kw):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kw, error", _INVALID_CONFIGS, ids=[f"kw{i}" for i in range(len(_INVALID_CONFIGS))])
+    def test_rejects_invalid(self, kw, error):
+        with pytest.raises(error):
             _cfg(**kw)
 
     @pytest.mark.parametrize(
@@ -115,7 +117,7 @@ class TestConfigValidation:
     )
     def test_rejects_grid_that_is_not_real_numbers(self, grid):
         # "05" used to sweep 0 dB and 5 dB, one per character; True swept 1 dB
-        with pytest.raises(ConfigError, match="real numbers"):
+        with pytest.raises(TypeError, match="real number"):
             _cfg(snr_db_grid=grid)
 
     def test_accepts_edges_of_the_snr_and_trial_limits(self):
@@ -630,15 +632,16 @@ class TestAnalyticSweep:
             analytic_sweep(scheme, n, nt, m, [0.0])
 
     @pytest.mark.parametrize(
-        "grid",
-        [[True], "05", (0.0, np.True_), [math.nan], [-math.inf], [], [5.0, 0.0], [0.0, 0.0]],
+        "grid, error",
+        [([True], TypeError), ("05", TypeError), ((0.0, np.True_), TypeError), ([math.nan], ConfigError),
+         ([-math.inf], ConfigError), ([], ConfigError), ([5.0, 0.0], ConfigError), ([0.0, 0.0], ConfigError)],
         ids=["bool", "str", "numpy-bool", "nan", "-inf", "empty", "decreasing", "repeated"],
     )
-    def test_applies_sweep_grid_rules(self, grid):
-        # [True] used to compute 1 dB, nan printed "source=n/a", "05" raised TypeError
-        with pytest.raises(ConfigError):
+    def test_applies_sweep_grid_rules(self, grid, error):
+        # [True] used to compute 1 dB, nan printed "source=n/a"
+        with pytest.raises(error):
             _cfg(snr_db_grid=grid)
-        with pytest.raises(ConfigError):
+        with pytest.raises(error):
             analytic_sweep("pb", 8, 2, None, grid)
 
     def test_keeps_noiseless_point(self):
@@ -774,6 +777,12 @@ class TestBinomialConfidence:
     @pytest.mark.parametrize("errors, trials", [(-1, 10), (11, 10), (0, 0)])
     def test_rejects_counts_outside_trials(self, errors, trials):
         with pytest.raises(ValueError):
+            binomial_confidence(errors, trials)
+
+    @pytest.mark.parametrize("errors, trials", [(1.5, 10), (True, 2), (3, 10.5)])
+    def test_rejects_counts_that_are_not_integers(self, errors, trials):
+        # 1.5 of 10 gave (0.019, 0.61) and True of 2 gave (0.048, 0.95)
+        with pytest.raises(TypeError):
             binomial_confidence(errors, trials)
 
 

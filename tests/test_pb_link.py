@@ -77,6 +77,13 @@ class TestSskMapping:
         # the beamformed schemes count (b, 0) surface columns
         assert label_bit_errors(np.zeros((5, 0), int), np.zeros((5, 0), int)) == 0
 
+    def test_label_bit_errors_rejects_indices_that_are_not_integers(self):
+        # True, False counted 1 error; 1.5 has no binary label
+        for sent, detected in [(True, False), (np.array([1, 0]), np.array([True, False])), (1.5, 1),
+                               (np.zeros(3), np.zeros(3, int))]:
+            with pytest.raises(TypeError):
+                label_bit_errors(sent, detected)
+
     def test_label_bit_errors_rejects_unequal_shapes(self):
         # broadcast, (2,) against (2, 1) would count a 2x2 cross product
         for sent, detected in [(np.array([1, 2]), np.array([[1], [2]])), (np.zeros((5, 0), int), np.zeros(5, int)),
