@@ -71,7 +71,9 @@ _POLISH_RACE = ((3, _ROUNDINGS), (5, 20))
 
 @lru_cache(maxsize=None)
 def _pairs(nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Antenna index arrays (i, j) of every pair i < j, in row-major order."""
+    """Antenna index arrays (i, j) of every pair i < j, in row-major order; the one two-antenna check."""
+    if nt < 2:
+        raise ValueError("need at least two transmit antennas")
     pairs = np.triu_indices(nt, 1)
     for idx in pairs:
         idx.flags.writeable = False
@@ -87,8 +89,6 @@ def _dmin(gains: np.ndarray) -> np.ndarray:
 def min_pairwise_distance(ch: ChannelRealization, phi) -> float:
     """Minimum squared distance between any two antennas' receive points
     (one channel, one coefficient vector)."""
-    if ch.nt < 2:
-        raise ValueError("need at least two transmit antennas")
     return _dmin(cascaded_gains(ch.G, ch.f, getattr(phi, "phi", phi))).item()
 
 
@@ -131,8 +131,6 @@ def low_complexity_beamform(ch: ChannelRealization) -> np.ndarray:
     the candidate with the largest minimum pairwise distance (ties broken
     by candidate order).  Returns (..., N) for channels with leading axes.
     """
-    if ch.nt < 2:
-        raise ValueError("need at least two transmit antennas")
     cand = _align(_pair_rows(ch))
     best = _dmin(cascaded_gains(ch.G, ch.f, cand)).argmax(axis=-1)
     return np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
@@ -145,8 +143,6 @@ def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
     argmax of the minimum pairwise distance is returned.  Refuses grids
     of more than 2^20 evaluations.
     """
-    if ch.nt < 2:
-        raise ValueError("need at least two transmit antennas")
     if levels < 1:
         raise ValueError("levels must be at least 1")
     total = levels**ch.n
@@ -279,8 +275,6 @@ def sdr_beamform(ch: ChannelRealization, rng: np.random.Generator) -> Reflection
     Deterministic given ``rng``; solver stall is not an error (the best
     iterate is used and flagged in the diagnostics).
     """
-    if ch.nt < 2:
-        raise ValueError("need at least two transmit antennas")
     A = _pair_rows(ch)
     K, T = A.shape[0], _ROUNDINGS
     rank = min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)

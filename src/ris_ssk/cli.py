@@ -22,8 +22,8 @@ _MAX_GRID_POINTS = 10_000
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'; only
-    the list form can hold the noiseless point inf.  An empty grid is left
-    to the sweep's grid rule."""
+    the list form can hold the noiseless point, spelled inf (1e400 is not
+    read as inf).  An empty grid is left to the sweep's grid rule."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -42,7 +42,10 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"SNR points of a start:stop:step grid number {count}, "
                              f"over the limit of {_MAX_GRID_POINTS}: {text!r}")
         return tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    points = [p for p in text.split(",") if p.strip()]
+    if any(np.isinf(float(p)) and "inf" not in p.lower() for p in points):
+        raise ValueError(f"finite SNR points must lie within +-{harness._SNR_LIMIT_DB:g} dB: {text!r}")
+    return tuple(float(p) for p in points)
 
 
 def load_config_file(path: str) -> dict:

@@ -9,6 +9,7 @@ independent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -285,7 +286,6 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
     z = np.empty((chunk, 2 * nt if direct else channel_draw_size(n, nt)))
     coeff = np.empty((chunk, 0 if direct else n), dtype=complex)
-    sent = np.empty((chunk, 1), dtype=np.int64)
     y = np.empty(chunk, dtype=complex)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
@@ -309,12 +309,13 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
                 elif scheme == "pb-lowcomplexity":
                     coeff[:b] = beamform.low_complexity_beamform(chs)
                 points = cascaded_gains(chs.G, chs.f, coeff[:b, None])[:, 0]
+        sent = np.empty((b, 1), dtype=np.int64)  # yielded, so never reused
         for t in range(b):
             rng = data_bank.trial(at + t)
             l = raw_indices(rng.bit_generator.random_raw(), nt)
             sent[t, 0] = l
             y[t] = pb_link.transmit_pb(points[t], l, noise, rng)
-        yield sent[:b], pb_link.detect_pb_ml(y[:b], points)[:, None]
+        yield sent, pb_link.detect_pb_ml(y[:b], points)[:, None]
 
 
 def _chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
@@ -351,26 +352,18 @@ def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
 
 def _run_point(cfg: SimConfig, snr_db: float, base_trial: int, pool, ris_counted: bool) -> tuple[int, int, int]:
     """Execute one SNR point; returns (source_errors, ris_errors, trials_run).
-    An early stop waits for the surface stream too when ``ris_counted``."""
-
-    def run_block(start: int, count: int) -> tuple[int, int]:
-        if pool is None or count < 2 * cfg.workers:
-            return _count_trials(cfg, snr_db, start, count)
-        parts = pool.starmap(
-            _count_trials,
-            [(cfg, snr_db, a, c) for a, c in _split_range(start, count, cfg.workers)],
-        )
-        return tuple(int(sum(col)) for col in zip(*parts))
-
-    src_err = ris_err = 0
-    done = 0
+    Every block is split ``cfg.workers`` ways and mapped through the pool,
+    or in this process without one.  An early stop waits for the surface
+    stream too when ``ris_counted``."""
+    starmap = itertools.starmap if pool is None else pool.starmap
+    most = cfg.trials if cfg.target_errors is None else _STOP_CHECK_EVERY
+    src_err = ris_err = done = 0
     while done < cfg.trials:
-        block = cfg.trials - done
-        if cfg.target_errors is not None:
-            block = min(block, _STOP_CHECK_EVERY)
-        ds, dr = run_block(base_trial + done, block)
-        src_err += ds
-        ris_err += dr
+        block = min(cfg.trials - done, most)
+        parts = [(cfg, snr_db, a, c) for a, c in _split_range(base_trial + done, block, cfg.workers)]
+        for ds, dr in starmap(_count_trials, parts):
+            src_err += ds
+            ris_err += dr
         done += block
         counted = (src_err, ris_err) if ris_counted else (src_err,)
         if cfg.target_errors is not None and min(counted) >= cfg.target_errors:
@@ -516,18 +509,24 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.measured} (require {self.requirement})"
 
 
+def _oracle_distances(seed: int, n: int, nt: int, reference) -> np.ndarray:
+    """Criteria 6 and 7's loop over 100 channels on ``seed``'s oracle stream,
+    each solved by the relaxation on its sdr stream: the (3, 100) d_min of
+    the relaxation, the candidate set and the criterion's ``reference(ch)``."""
+    d = np.empty((3, 100))
+    for t in range(100):
+        ch = sample_channel(n, nt, substream(seed, t, "oracle"))
+        rv = beamform.sdr_beamform(ch, rng=substream(seed, t, "sdr"))
+        for row, phi in enumerate((rv, beamform.low_complexity_beamform(ch), reference(ch))):
+            d[row, t] = beamform.min_pairwise_distance(ch, phi)
+    return d
+
+
 def _check_beamformer_vs_grid() -> list[CheckResult]:
     """Criterion 6: the relaxation against the 16-level grid and the candidate set."""
-    n_ch, need = 100, 90
-    wins = 0
-    sdr_ds, lc_ds = [], []
-    for t in range(n_ch):
-        ch = sample_channel(4, 4, substream(606, t, "oracle"))
-        d_grid = beamform.min_pairwise_distance(ch, beamform.brute_force_beamform(ch, 16))
-        rv = beamform.sdr_beamform(ch, rng=substream(606, t, "sdr"))
-        sdr_ds.append(beamform.min_pairwise_distance(ch, rv))
-        lc_ds.append(beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch)))
-        wins += sdr_ds[-1] >= 0.95 * d_grid
+    sdr, lc, grid = _oracle_distances(606, 4, 4, lambda ch: beamform.brute_force_beamform(ch, 16))
+    n_ch, need = len(grid), 90
+    wins = int(np.count_nonzero(sdr >= 0.95 * grid))
     return [
         CheckResult(
             "relaxation vs 16-level grid",
@@ -537,8 +536,8 @@ def _check_beamformer_vs_grid() -> list[CheckResult]:
         ),
         CheckResult(
             "relaxation vs candidate-set mean",
-            float(np.mean(sdr_ds)) >= float(np.mean(lc_ds)),
-            f"mean d_min {np.mean(sdr_ds):.3f} vs candidate-set {np.mean(lc_ds):.3f}",
+            bool(sdr.mean() >= lc.mean()),
+            f"mean d_min {sdr.mean():.3f} vs candidate-set {lc.mean():.3f}",
             "relaxation mean >= candidate-set mean",
         ),
     ]
@@ -546,16 +545,10 @@ def _check_beamformer_vs_grid() -> list[CheckResult]:
 
 def _check_two_antenna() -> list[CheckResult]:
     """Criterion 7: candidate set and relaxation against the two-antenna closed form."""
-    n_ch = 100
-    exact = 0
-    ok99 = 0
-    for t in range(n_ch):
-        ch = sample_channel(8, 2, substream(707, t, "oracle"))
-        d_opt = beamform.min_pairwise_distance(ch, beamform.optimal_two_tx(ch))
-        d_lc = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
-        rv = beamform.sdr_beamform(ch, rng=substream(707, t, "sdr"))
-        exact += d_lc == d_opt
-        ok99 += beamform.min_pairwise_distance(ch, rv) >= 0.99 * d_opt
+    sdr, lc, opt = _oracle_distances(707, 8, 2, beamform.optimal_two_tx)
+    n_ch = len(opt)
+    exact = int(np.count_nonzero(lc == opt))
+    ok99 = int(np.count_nonzero(sdr >= 0.99 * opt))
     return [
         CheckResult(
             "two-antenna candidate-set optimality",

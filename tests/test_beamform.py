@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,46 @@ class TestMinPairwiseDistance:
         d0 = min_pairwise_distance(ch, np.exp(1j * theta))
         d1 = min_pairwise_distance(ch, np.exp(1j * (theta + shift)))
         assert d1 == pytest.approx(d0, rel=1e-12)
+
+
+def _two_antenna_raise_sites() -> list[tuple[int, str]]:
+    """(line, enclosing function) of every ValueError that beamform.py
+    raises for fewer than two transmit antennas."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            exc = getattr(child, "exc", None) if isinstance(child, ast.Raise) else None
+            if (isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError"
+                    and any("at least two transmit antennas" in str(getattr(a, "value", "")) for a in exc.args)):
+                sites.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(Path(beamform.__file__).read_text()), "")
+    return sites
+
+
+class TestTwoAntennaRule:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda ch: min_pairwise_distance(ch, np.ones(ch.n, complex)),
+            low_complexity_beamform,
+            lambda ch: brute_force_beamform(ch, 2),
+            lambda ch: sdr_beamform(ch, substream(2, 0, "sdr")),
+        ],
+        ids=["distance", "candidate-set", "brute-force", "relaxation"],
+    )
+    def test_every_entry_point_refuses_one_antenna(self, solve):
+        with pytest.raises(ValueError, match="at least two transmit antennas"):
+            solve(_channel(4, 1, 2))
+
+    def test_raised_only_in_pairs(self):
+        # every distance and beamformer reaches _pairs, so the rule is
+        # checked there once rather than at each entry point
+        sites = _two_antenna_raise_sites()
+        assert [scope for _, scope in sites] == ["_pairs"], sites
 
 
 class TestOptimalTwoTx:

@@ -149,6 +149,33 @@ class TestConfigValidation:
         assert json.loads((tmp_path / "a.json").read_text())[0]["n"] == 8
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces multiprocessing.Pool by one that runs each part in this
+    process and starts no process; returns the process counts asked for and
+    the part count of every starmap call."""
+    import multiprocessing
+
+    asked, parts = [], []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def starmap(self, fn, args):
+            parts.append(len(args))
+            return [fn(*a) for a in args]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return asked, parts
+
+
 class TestSweep:
     def test_pb_sweep_record_contents(self):
         records = run_ber_sweep(_cfg())
@@ -199,34 +226,22 @@ class TestSweep:
         write_csv(run_ber_sweep(_cfg(trials=4000, workers=3)), p8)
         assert p1.read_bytes() == p8.read_bytes()
 
-    def test_pool_bounded_by_cpus_and_split_by_workers(self, monkeypatch):
-        import multiprocessing
+    def test_pool_bounded_by_cpus_and_split_by_workers(self, fake_pool):
         import os
 
-        asked, parts = [], []
-
-        class FakePool:
-            """Runs each part in this process; starts no process."""
-
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def starmap(self, fn, args):
-                parts.append(len(args))
-                return [fn(*a) for a in args]
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        asked, parts = fake_pool
         cfg = _cfg(snr_db_grid=(-10.0,), trials=20_000)
         many = run_ber_sweep(dataclasses.replace(cfg, workers=10_000))
         assert len(asked) == 1 and 1 <= asked[0] <= os.cpu_count()
         assert parts == [10_000]
         assert many == run_ber_sweep(cfg)
+
+    def test_block_smaller_than_twice_the_workers_goes_through_the_pool(self, fake_pool):
+        # every block is split cfg.workers ways, however small
+        asked, parts = fake_pool
+        cfg = _cfg(snr_db_grid=(-10.0,), trials=3)
+        assert run_ber_sweep(dataclasses.replace(cfg, workers=2)) == run_ber_sweep(cfg)
+        assert len(asked) == 1 and parts == [2]
 
     def test_pb_sdr_worker_count_invariance(self, tmp_path):
         p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -335,6 +350,22 @@ class TestCodedKernel:
             assert sizes[:-1] == [min(trials, 300)] * (len(sizes) - 1) and sum(sizes) == 300
             counts.append(harness._count_trials(cfg, -4.0, 5, 300))
         assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_kept_chunks_equal_chunks_copied_as_they_come(self, scheme, monkeypatch):
+        # a caller may keep every chunk, as list() does; no chunk may be
+        # overwritten by the next
+        monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
+        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, seed=64)
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * harness._trial_elements(cfg))
+        noise = NoiseModel.from_snr_db(-4.0)
+        copied = [(s.copy(), d.copy()) for s, d in harness._chunks(cfg, noise, 0, 30)]
+        kept = list(harness._chunks(cfg, noise, 0, 30))
+        assert len(kept) == len(copied) == 3
+        assert not np.array_equal(copied[0][0], copied[2][0])  # the chunks differ
+        for (s, d), (s_copy, d_copy) in zip(kept, copied):
+            assert np.array_equal(s, s_copy) and np.array_equal(d, d_copy)
 
     @pytest.mark.parametrize(
         "kw, want",
@@ -941,7 +972,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500",
-         "0:1e308:1e-300", "-1e308:1e308:1"],
+         "0:1e308:1e-300", "-1e308:1e308:1", "1e400", "0,1e400"],
     )
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
@@ -951,7 +982,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000",
-         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1"],
+         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1", "1e400", "0,1e400"],
     )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
