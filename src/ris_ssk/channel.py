@@ -253,7 +253,8 @@ def sample_channel(n: int, nt: int, rng: np.random.Generator, out: np.ndarray | 
 
 
 def sample_awgn(noise: NoiseModel, rng: np.random.Generator) -> complex:
-    """One zero-mean complex Gaussian noise sample with variance ``n0``."""
+    """One zero-mean complex Gaussian noise sample with variance ``n0``: the
+    one-trial API of pb sweeps (through ``transmit_pb``) and the tests."""
     if noise.n0 == 0:
         return 0j
     re, im = rng.standard_normal(2).tolist()

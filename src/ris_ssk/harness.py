@@ -223,46 +223,53 @@ def _trial_elements(cfg: SimConfig) -> int:
     return _LIVE_TEMPORARIES * n * nt
 
 
-def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
-    """Coded frames of trials [start, start + count) in chunks; yields (sent,
-    y1, y2, h1, h2): the (chunk, 3) 0-based (antenna, phase 1, phase 2)
-    indices, the two received slots (chunk,) and the sub-surface sums
-    (chunk, Nt).
+def _draws(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
+    """The draw phase of every chunk kernel but pb's: trials [start, start +
+    count) in chunks; yields (at, z, words, w) for trials [at, at + len(z)).
 
-    Per trial, only the draws run in Python, each on the trial's own
-    streams and in a fixed order: the channel normals on the ``channel``
-    purpose's stream, then on the data stream the two raw words of the
-    antenna and phase indices and the two complex noise samples when
-    n0 > 0.  Index conversion and transmission then run once over the
-    whole chunk.
-    """
-    n, nt, m = cfg.n, cfg.nt, cfg.m
-    ch_bank = StreamBank(cfg.seed, channel)
-    data_bank = StreamBank(cfg.seed, "data")
+    Per trial, only the keyed draws run in Python, each on the trial's own
+    streams and in a fixed order: the channel normals into its row of ``z``
+    on the ``channel`` purpose's stream (traditional-ssk draws only its 2·Nt
+    direct links), then on the data stream its raw ``words`` (the antenna's,
+    and for the coded schemes one for both phase indices) and, only when
+    n0 > 0, one complex noise sample a word.  ``z`` is scaled into complex
+    normals in place; ``w`` is the (chunk, words) complex noise, None when
+    noiseless.  The next chunk reuses ``z`` and ``words``."""
+    k = 2 if cfg.scheme in _ASTBC_SCHEMES else 1
+    ch_bank, data_bank = StreamBank(cfg.seed, channel), StreamBank(cfg.seed, "data")
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    z = np.empty((chunk, channel_draw_size(n, nt)))
-    words = np.empty((chunk, 2), dtype=np.uint64)
-    w = np.empty((chunk, 4))
+    z = np.empty((chunk, 2 * cfg.nt if cfg.scheme == "traditional-ssk" else channel_draw_size(cfg.n, cfg.nt)))
+    words = np.empty((chunk, k), dtype=np.uint64)
+    w = np.empty((chunk, 2 * k))
     noisy = noise.n0 > 0
-    scale = math.sqrt(noise.n0 / 2.0)
-    psk = astbc_link.psk_symbols(m)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
         for t in range(b):
             ch_bank.trial(at + t).standard_normal(out=z[t])
             rng = data_bank.trial(at + t)
-            words[t] = rng.bit_generator.random_raw(2)
+            words[t] = rng.bit_generator.random_raw(k)
             if noisy:
                 rng.standard_normal(out=w[t])
-        sent = raw_indices(words[:b], (nt, m, m))
         complex_normals(z[:b])
-        h1, h2 = astbc_link.sub_surface_sums(*channel_views(z[:b], n, nt))
+        yield at, z[:b], words[:b], (w[:b] * math.sqrt(noise.n0 / 2.0)).view(np.complex128) if noisy else None
+
+
+def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
+    """Coded frames of trials [start, start + count) in chunks; yields (sent,
+    y1, y2, h1, h2): the (chunk, 3) 0-based (antenna, phase 1, phase 2)
+    indices, the two received slots (chunk,) and the sub-surface sums
+    (chunk, Nt).  After :func:`_draws`, index conversion and transmission
+    run once over the whole chunk."""
+    n, nt, m = cfg.n, cfg.nt, cfg.m
+    psk = astbc_link.psk_symbols(m)
+    for _, z, words, w in _draws(cfg, channel, noise, start, count):
+        sent = raw_indices(words, (nt, m, m))
+        h1, h2 = astbc_link.sub_surface_sums(*channel_views(z, n, nt))
         l0, k1, k2 = sent.T
-        rows = np.arange(b)
+        rows = np.arange(len(z))
         y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
-        if noisy:
-            wc = (w[:b] * scale).view(np.complex128)
-            y1, y2 = y1 + wc[:, 0], y2 + wc[:, 1]
+        if w is not None:
+            y1, y2 = y1 + w[:, 0], y2 + w[:, 1]
         yield sent, y1, y2, h1, h2
 
 
@@ -270,50 +277,56 @@ def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     """Beamformed trials [start, start + count) in chunks; yields (sent,
     detected), each a (chunk, 1) array of 0-based antenna indices.
 
-    Per trial, only the keyed draws run in Python, each on the trial's own
-    streams and in a fixed order: the channel, drawn straight into the
-    chunk's row of ``z`` (for traditional-ssk only its 2·Nt direct-link
-    normals), the pb-sdr solve on the trial's sdr stream, then the antenna
-    index from one raw word and the noise through ``transmit_pb``.
-    Beamforming, the receive points (one noiseless point per antenna and
-    trial) and the ML decision run once per chunk.
-    """
+    After :func:`_draws` (pb's chunks come from :func:`_pb_pinned_chunks`;
+    pb-sdr solves each trial on views of the chunk and its sdr stream), the
+    beamformers, receive points (one noiseless point per antenna and trial),
+    antenna indices, received samples and ML decision run once per chunk."""
     n, nt, scheme = cfg.n, cfg.nt, cfg.scheme
-    ch_bank = StreamBank(cfg.seed, "channel")
-    data_bank = StreamBank(cfg.seed, "data")
+    if scheme == "pb":
+        yield from _pb_pinned_chunks(cfg, noise, start, count)
+        return
     sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
-    direct = scheme == "traditional-ssk"
-    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    z = np.empty((chunk, 2 * nt if direct else channel_draw_size(n, nt)))
-    coeff = np.empty((chunk, 0 if direct else n), dtype=complex)
-    y = np.empty(chunk, dtype=complex)
-    for at in range(start, start + count, chunk):
-        b = min(chunk, start + count - at)
-        if direct:
-            for t in range(b):
-                ch_bank.trial(at + t).standard_normal(out=z[t])
-            points = complex_normals(z[:b])
+    for at, z, words, w in _draws(cfg, "channel", noise, start, count):
+        rows = np.arange(len(z))
+        if scheme == "traditional-ssk":
+            points = z.view(np.complex128)
         else:
-            for t in range(b):
-                ch = sample_channel(n, nt, ch_bank.trial(at + t), out=z[t])
-                if sdr_bank is not None:
-                    coeff[t] = beamform.sdr_beamform(ch, sdr_bank.trial(at + t)).phi
-            chs = ChannelRealization(*channel_views(z[:b], n, nt))
+            G, f = channel_views(z, n, nt)
             if scheme == "intelligent-ris-ssk":
                 # hypothesis a aligns the surface to antenna a, whose
                 # noiseless point is then sum_i |f_i| |g_ia|
-                points = cascaded_gains(np.abs(chs.G), np.abs(chs.f), 1.0)[:, 0]
+                points = cascaded_gains(np.abs(G), np.abs(f), 1.0)[:, 0]
             else:
-                if scheme == "pb":
-                    coeff[:b] = beamform.optimal_two_tx(chs)
-                elif scheme == "pb-lowcomplexity":
-                    coeff[:b] = beamform.low_complexity_beamform(chs)
-                points = cascaded_gains(chs.G, chs.f, coeff[:b, None])[:, 0]
+                if scheme == "pb-lowcomplexity":
+                    coeff = beamform.low_complexity_beamform(ChannelRealization(G, f))
+                else:  # pb-sdr
+                    coeff = np.array([beamform.sdr_beamform(ChannelRealization(G[t], f[t]), sdr_bank.trial(at + t)).phi
+                                      for t in range(len(z))])
+                points = cascaded_gains(G, f, coeff[:, None])[:, 0]
+        sent = raw_indices(words, (nt,))
+        y = points[rows, sent[:, 0]] + (0.0 if w is None else w[:, 0])
+        yield sent, pb_link.detect_pb_ml(y, points)[:, None]
+
+
+def _pb_pinned_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
+    """pb's chunks, drawn through per-trial ``sample_channel`` and ``transmit_pb``
+    calls, which perfbench's ``test_traced_sweep_matches_untraced_and_records_layers``
+    counts; they stay until the benchmark counts through the harness."""
+    n = cfg.n
+    ch_bank, data_bank = StreamBank(cfg.seed, "channel"), StreamBank(cfg.seed, "data")
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
+    z = np.empty((chunk, channel_draw_size(n, 2)))
+    y = np.empty(chunk, dtype=complex)
+    for at in range(start, start + count, chunk):
+        b = min(chunk, start + count - at)
+        for t in range(b):
+            sample_channel(n, 2, ch_bank.trial(at + t), out=z[t])
+        chs = ChannelRealization(*channel_views(z[:b], n, 2))
+        points = cascaded_gains(chs.G, chs.f, beamform.optimal_two_tx(chs)[:, None])[:, 0]
         sent = np.empty((b, 1), dtype=np.int64)  # yielded, so never reused
         for t in range(b):
             rng = data_bank.trial(at + t)
-            l = raw_indices(rng.bit_generator.random_raw(), nt)
-            sent[t, 0] = l
+            sent[t, 0] = l = raw_indices(rng.bit_generator.random_raw(), 2)
             y[t] = pb_link.transmit_pb(points[t], l, noise, rng)
         yield sent, pb_link.detect_pb_ml(y[:b], points)[:, None]
 

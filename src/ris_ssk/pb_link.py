@@ -33,8 +33,9 @@ def label_bit_errors(sent, detected) -> int:
 
 
 def transmit_pb(gains: np.ndarray, l: int, noise: NoiseModel, rng: np.random.Generator) -> complex:
-    """Received sample y = gains[l] + w when antenna ``l`` of one trial's
-    gain vector (length Nt) is active; w is drawn from ``rng``."""
+    """One trial's received sample y = gains[l] + w, antenna ``l`` of its Nt
+    gains active and w drawn from ``rng``: the one-trial API of pb sweeps and
+    the tests (the other sweeps add a chunk's noise at once)."""
     l = _integer("an antenna index", l)
     if not 0 <= l < len(gains):
         raise IndexError(f"antenna index {l} out of range 0..{len(gains) - 1}")

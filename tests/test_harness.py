@@ -367,6 +367,17 @@ class TestCodedKernel:
         for (s, d), (s_copy, d_copy) in zip(kept, copied):
             assert np.array_equal(s, s_copy) and np.array_equal(d, d_copy)
 
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_noiseless_trials_draw_no_noise(self, scheme, monkeypatch):
+        # at n0 = 0 no trial draws a noise normal from its data stream
+        monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
+        monkeypatch.setattr(harness, "StreamBank", _NoiseRefusingBank)
+        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, seed=65)
+        chunks = list(harness._chunks(cfg, NoiseModel.from_snr_db(math.inf), 0, 30))
+        assert sum(len(s) for s, _ in chunks) == 30
+        assert all(np.array_equal(s, d) for s, d in chunks)
+
     @pytest.mark.parametrize(
         "kw, want",
         [
@@ -470,6 +481,26 @@ class TestCodedKernel:
         assert sizes[0] == want
 
 
+class _NoiseRefusingBank(StreamBank):
+    """StreamBank whose data-stream generator keeps its raw words and
+    refuses every normal draw, so a trial that draws noise raises."""
+
+    class _Words:
+        def __init__(self, gen):
+            self.bit_generator = gen.bit_generator
+
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("a noiseless trial drew noise")
+
+    def __init__(self, seed, purpose):
+        super().__init__(seed, purpose)
+        self.data = purpose == "data"
+
+    def trial(self, k):
+        gen = super().trial(k)
+        return self._Words(gen) if self.data else gen
+
+
 class _Zeros:
     """Stand-in generator whose normals are all zero."""
 
@@ -558,6 +589,20 @@ class TestPbKernel:
             assert any(s != d for s, d in rest)
         else:
             assert all(s == d for s, d in rest)
+
+    @pytest.mark.parametrize("n, snr_db", [(8, -14.0), (64, -28.0)])
+    def test_pb_per_trial_draws_equal_the_shared_draw_phase(self, n, snr_db):
+        # at Nt=2 the candidate set is the closed form, so pb, which draws
+        # through per-trial sample_channel and transmit_pb calls, and
+        # pb-lowcomplexity, which draws through the shared draw phase,
+        # decide alike on the same seed
+        noise = NoiseModel.from_snr_db(snr_db)
+        (pb_sent, pb_detected), (lc_sent, lc_detected) = (
+            [np.concatenate(a) for a in zip(*harness._chunks(_cfg(scheme=s, n=n, seed=66), noise, 0, 1000))]
+            for s in ("pb", "pb-lowcomplexity")
+        )
+        assert np.array_equal(pb_sent, lc_sent) and np.array_equal(pb_detected, lc_detected)
+        assert (pb_sent != pb_detected).any()
 
     @pytest.mark.parametrize("n, nt", [(16, 4), (64, 8)])
     def test_candidate_set_chunks_keep_temporaries_small(self, n, nt):
