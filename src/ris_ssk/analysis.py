@@ -159,7 +159,7 @@ def psk_demod_abep(q: AbepQuery) -> float:
         _diversity_kernel(q.rho * psk_g(i, q.m) * q.n)
         for i in range(1, max(q.m // 4, 1) + 1)
     )
-    return 2.0 / max(np.log2(q.m), 2.0) * total
+    return float(2.0 / max(np.log2(q.m), 2.0) * total)
 
 
 def abep_ris(q: AbepQuery) -> float:
@@ -169,7 +169,7 @@ def abep_ris(q: AbepQuery) -> float:
     coin-flip penalty weighted by the antenna union bound; held to [0, 1/2].
     """
     pe = union_bound_antenna(q)
-    return min(max(0.5 * pe + (1.0 - pe) * psk_demod_abep(q), 0.0), 0.5)
+    return float(min(max(0.5 * pe + (1.0 - pe) * psk_demod_abep(q), 0.0), 0.5))
 
 
 def abep_source_asymptotic(q: AbepQuery) -> float:
@@ -189,7 +189,7 @@ def abep_ris_asymptotic(q: AbepQuery) -> float:
             for i in range(1, max(q.m // 4, 1) + 1)
         )
     )
-    return 0.5 * pe + pa
+    return float(0.5 * pe + pa)
 
 
 def analytic_abep(

@@ -29,16 +29,6 @@ def psk_phases(m: int) -> np.ndarray:
     return _TWO_PI * np.arange(m) / m
 
 
-def code_matrix(alpha1: float, alpha2: float) -> np.ndarray:
-    """The 2x2 orthogonal code matrix; C^H C = 2 I for every phase pair."""
-    return np.array(
-        [
-            [np.exp(1j * alpha1), np.exp(1j * alpha2)],
-            [-np.exp(-1j * alpha2), np.exp(-1j * alpha1)],
-        ]
-    )
-
-
 def psk_symbols(m: int) -> np.ndarray:
     """The phase factors e^{j alpha} of the M-ary alphabet, in index order."""
     return np.exp(1j * psk_phases(m))

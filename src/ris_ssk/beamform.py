@@ -53,8 +53,8 @@ class ReflectionVector:
 # soft-minimum temperatures (times the pair-row scale) of the relaxation and
 # of the polish.  The factor rank is min(N, ceil(sqrt(2K)) + 1) for K
 # antenna pairs.  A solve's time tracks its step count: at N=16, Nt=4 a
-# step costs about 42 us for the 3 restarts, 68 us for 100 polished
-# candidates and 43 us for 20 (2-vCPU Xeon).  The longer 10 x 80
+# step costs about 28 us for the 3 restarts, 56 us for 100 polished
+# candidates and 30 us for 20 (2-vCPU Xeon).  The longer 10 x 80
 # relaxation and 8 x 60 polish took 2.5x the steps for under 0.4% more
 # mean d_min.  The polish is a race (successive halving, Jamieson &
 # Talwalkar 2016), as (stages, candidates kept): all _ROUNDINGS Gaussian
@@ -182,84 +182,117 @@ def _anneal(A, X, scale, temps, step, iterations, tol):
     q (K, B), the steps each problem took, which problems left the last
     stage early, and the step sizes they end with.
 
-    The iterate shares one array with its products and the gradient weights
-    one with the soft minima, so a step costs two merges if any problem
-    rejects and none if all accept.  Each value takes the floating-point
-    operations of the plain complex ascent, so iterates are bit-identical
-    to it: rounding picks between candidates that reach the same optimum.
+    The state lives in two preallocated buffers of Z (X over A X) and W
+    (the gradient weights over the soft minimum), whose views are built once
+    per call.  A step writes the other buffer, which becomes current if
+    every problem accepts and merges into the current one otherwise.  Each
+    value takes the floating-point operations of the plain complex ascent
+    in its order, so iterates are bit-identical to it: rounding picks
+    between candidates that reach the same optimum.  X and q are returned
+    as copies.
     """
     n, B, r = X.shape
     K = A.shape[0]
     AH = np.ascontiguousarray(A.conj().T)
+    Z, W = list(np.empty((2, n + K, B, r), dtype=complex)), list(np.empty((2, K + 1, B)))
+    Xs, AXs = [z[:n] for z in Z], [z[n:] for z in Z]
+    X2s, AX2s = [x.reshape(n, B * r) for x in Xs], [y.reshape(K, B * r) for y in AXs]
+    weights, softs = [w[:K] for w in W], [w[K] for w in W]
+    weights3 = [w[:, :, None] for w in weights]
+    # scratch: the weighted products, then the squares of A X (q is their
+    # sum over the rank, a view at r = 1); the squares of X; the row norms;
+    # the exponents over their total
+    P = np.empty((K, B, r), dtype=complex)
+    P2, P_re = P.reshape(K, B * r), P.real
+    R = np.empty((n, B, r), dtype=complex)
+    R_re = R.real
+    norm = np.empty((n, B, 1))
+    E = np.empty((K + 1, B))
+    e, total = E[:K], E[K]
+    q = P_re[..., 0] if r == 1 else e
+    steps = np.full(B, step)
+    step = steps[:, None]
+    acc, active = np.empty((2, B), dtype=bool)
+    acc_col, active_col = acc[:, None], active[:, None]
 
-    def sq_rows(Y):
-        """Squared norm of every row of Y, shaped (..., B, 1)."""
-        sq = (Y * Y.conj()).real
-        return sq if r == 1 else sq.sum(axis=-1, keepdims=True)
+    def softmin(c, tau):
+        """Gradient weights e / total and soft minimum of state c."""
+        np.conjugate(AXs[c], out=P)
+        np.multiply(AXs[c], P, out=P)
+        if r > 1:
+            np.add.reduce(P_re, -1, out=e)
+        s = softs[c]
+        np.minimum.reduce(q, 0, out=s)
+        np.subtract(s, q, out=e)
+        np.divide(e, tau, out=e)
+        np.exp(e, out=e)
+        np.add.reduce(e, 0, out=total)
+        np.divide(e, total, out=weights[c])
+        np.divide(total, float(K), out=total)
+        np.log(total, out=total)
+        np.multiply(total, tau, out=total)
+        np.subtract(s, total, out=s)
 
-    def softmin(Z, tau):
-        """Gradient weights e / total (rows :K) and soft minimum (row K)."""
-        q = sq_rows(Z[n:])[..., 0]
-        lo = q.min(axis=0)
-        e = np.exp((lo - q) / tau)
-        total = e.sum(axis=0)
-        W = np.empty((K + 1, B))
-        np.divide(e, total, out=W[:K])
-        np.subtract(lo, tau * np.log(total / K), out=W[K])
-        return W
-
-    # Z holds X over A X; the first A X uses X as laid out by the caller,
-    # as a transposed operand takes another BLAS path and rounds otherwise.
-    Z = np.empty((n + K, B, r), dtype=complex)
-    Z[:n] = X
-    Z[n:] = (A @ X.reshape(n, B * r)).reshape(K, B, r)
-    step = np.full(B, step)
+    # The first A X uses X as laid out by the caller, as a transposed
+    # operand takes another BLAS path and rounds otherwise.
+    cur = 0
+    Xs[cur][...] = X
+    AXs[cur][...] = (A @ X.reshape(n, B * r)).reshape(K, B, r)
     taken = np.zeros(B, dtype=int)
     for tau in temps:
-        W = softmin(Z, tau)
-        active = np.ones(B, dtype=bool)
+        softmin(cur, tau)
+        active[:] = True
         everyone_active = True
         taken += iterations  # less, on stopping, the steps not taken
         for it in range(iterations):
             # X + step A^H (w A X), then unit rows (a zero row becomes the
             # constant one), then the products and soft minimum there.
-            Z_new = np.empty_like(Z)
-            Y = Z_new[:n]
-            np.matmul(AH, (Z[n:] * W[:K, :, None]).reshape(K, B * r), out=Y.reshape(n, B * r))
-            Y *= step[:, None]
-            Y += Z[:n]
-            norm = np.sqrt(sq_rows(Y))
+            new = 1 - cur
+            Y = Xs[new]
+            np.multiply(AXs[cur], weights3[cur], out=P)
+            np.matmul(AH, P2, out=X2s[new])
+            Y *= step
+            Y += Xs[cur]
+            np.conjugate(Y, out=R)
+            np.multiply(Y, R, out=R)
+            if r > 1:
+                np.add.reduce(R_re, -1, out=norm, keepdims=True)
+                np.sqrt(norm, out=norm)
+            else:
+                np.sqrt(R_re, out=norm)
             if np.count_nonzero(norm) < norm.size:
                 zero = norm == 0
                 Y += zero * r**-0.5
                 norm += zero
-            Y *= 1.0 / norm  # what complex-by-real division computes
-            np.matmul(A, Y.reshape(n, B * r), out=Z_new[n:].reshape(K, B * r))
-            W_new = softmin(Z_new, tau)
-            s, s_new = W[K], W_new[K]
-            acc = s_new >= s
+            np.reciprocal(norm, out=norm)
+            Y *= norm  # what complex-by-real division computes
+            np.matmul(A, X2s[new], out=AX2s[new])
+            softmin(new, tau)
+            s, s_new = softs[cur], softs[new]
+            np.greater_equal(s_new, s, out=acc)
             if not everyone_active:
                 acc &= active
             stop = False
+            if tol:  # before a merge overwrites s
+                stop = acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12))
             if np.count_nonzero(acc) == B:
-                step = step * 1.2
-                Z, W = Z_new, W_new
+                step *= 1.2
+                cur = new
             else:
-                factor = np.where(acc, 1.2, 0.5)
-                step = step * factor if everyone_active else np.where(active, step * factor, step)
-                Z, W = np.where(acc[:, None], Z_new, Z), np.where(acc, W_new, W)
-                collapsed = step < 1e-14 / scale
+                np.multiply(step, np.where(acc_col, 1.2, 0.5), out=step, where=active_col)
+                np.copyto(Z[cur], Z[new], where=acc_col)
+                np.copyto(W[cur], W[new], where=acc)
+                collapsed = steps < 1e-14 / scale
                 if np.count_nonzero(collapsed):
-                    stop = collapsed & (active ^ acc)
-            if tol:
-                stop = stop | (acc & (s_new - s < tol * np.maximum(np.abs(s_new), scale * 1e-12)))
+                    stop = stop | (collapsed & (active ^ acc))
             if np.count_nonzero(stop):
                 taken[stop] -= iterations - 1 - it
                 active ^= stop
                 everyone_active = False
                 if not np.count_nonzero(active):
                     break
-    return Z[:n], sq_rows(Z[n:])[..., 0], taken, ~active, step
+    AX = AXs[cur]
+    return Xs[cur].copy(), (AX * AX.conj()).real.sum(axis=-1), taken, ~active, steps
 
 
 def sdr_beamform(ch: ChannelRealization, rng: np.random.Generator) -> ReflectionVector:

@@ -263,6 +263,13 @@ class TestRisAbep:
         assert abep_ris(q) == 0.5
         assert union_bound_antenna(q) > 1  # the raw bound is no probability
 
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_closed_forms_return_python_floats(self, m):
+        q = AbepQuery(rho=2.0, n=16, nt=2, m=m)
+        forms = (abep_pb_two_tx, abep_source, abep_ris, psk_demod_abep,
+                 abep_source_asymptotic, abep_ris_asymptotic)
+        assert [type(form(q)) for form in forms] == [float] * len(forms)
+
 
 class TestAsymptotics:
     def test_exact_inverse_square_scaling(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ris_ssk.astbc_link import (
-    code_matrix,
     coded_slots,
     combine,
     detect_fast,
@@ -24,6 +23,16 @@ from ris_ssk.channel import (
     substream,
 )
 from ris_ssk.harness import _bits_per_trial
+
+
+def code_matrix(alpha1: float, alpha2: float) -> np.ndarray:
+    """The 2x2 orthogonal code matrix; C^H C = 2 I for every phase pair."""
+    return np.array(
+        [
+            [np.exp(1j * alpha1), np.exp(1j * alpha2)],
+            [-np.exp(-1j * alpha2), np.exp(-1j * alpha1)],
+        ]
+    )
 
 
 def _sums(ch):

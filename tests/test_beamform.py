@@ -404,6 +404,20 @@ class TestAnnealKernel:
             for a, b in zip(got, _anneal_reference(*args)):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("problem", ANNEAL_PROBLEMS.values(), ids=ANNEAL_PROBLEMS.keys())
+    def test_inputs_stay_and_outputs_own_their_memory(self, problem):
+        args = _anneal_args(*problem)
+        A, X = args[0].copy(), args[1].copy()
+        first, second = _anneal(*args), _anneal(*args)
+        np.testing.assert_array_equal(args[0], A)
+        np.testing.assert_array_equal(args[1], X)
+        # X, q and the end steps of both calls, then the inputs
+        arrays = [first[0], first[1], first[4], second[0], second[1], second[4], args[0], args[1]]
+        for i, a in enumerate(arrays[:6]):
+            assert a.flags.owndata
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_zero_row_becomes_constant_like_reference(self):
         # f_i = 0 zeroes column i of the pair rows, so a zero start row i has
         # zero gradient and both kernels must map it to the constant row.
@@ -597,10 +611,16 @@ class TestSdrBeamform:
             assert d > 0
 
     def test_deterministic_given_stream(self):
+        # two solves kept side by side, then a fresh one: no solve may
+        # write into what an earlier one returned
         ch = _channel(5, 4, 83)
         a = sdr_beamform(ch, rng=substream(83, 0, "sdr"))
         b = sdr_beamform(ch, rng=substream(83, 0, "sdr"))
-        assert np.array_equal(a.phi, b.phi)
+        fresh = sdr_beamform(ch, rng=substream(83, 0, "sdr"))
+        assert not np.shares_memory(a.phi, b.phi)
+        for rv in (a, b):
+            assert np.array_equal(rv.phi, fresh.phi)
+            assert rv.diagnostics == fresh.diagnostics
 
     def test_beats_zero_phase_floor_on_average(self):
         sdr_gain, lc_gain = [], []

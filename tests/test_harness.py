@@ -24,6 +24,7 @@ from ris_ssk.harness import (
     write_csv,
     write_json,
 )
+from test_astbc_link import code_matrix
 
 
 def _cfg(**kw):
@@ -296,7 +297,7 @@ def _scalar_decisions(cfg, snr_db, start, count, channel):
         rng = data_bank.trial(k)
         l, k1, k2 = sent = tuple(int(v) for v in rng.integers(0, [cfg.nt, cfg.m, cfg.m]))
         h1, h2 = astbc_link.sub_surface_sums(ch.G, ch.f)
-        y1, y2 = astbc_link.code_matrix(alphas[k1], alphas[k2]) @ np.array([h1[l], h2[l]])
+        y1, y2 = code_matrix(alphas[k1], alphas[k2]) @ np.array([h1[l], h2[l]])
         y1, y2 = y1 + sample_awgn(noise, rng), y2 + sample_awgn(noise, rng)
         out.append((sent, tuple(int(v) for v in _detector(cfg)(y1, y2, h1, h2, cfg.m))))
     return out
@@ -825,6 +826,17 @@ class TestOutputFiles:
         (finite,) = run_ber_sweep(_cfg(snr_db_grid=(0.0,), trials=20, seed=0))
         write_json([finite], p)
         assert p.read_text() == json.dumps([dataclasses.asdict(finite)], indent=1) + "\n"
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_float_cells_are_python_floats(self, scheme):
+        # numpy.float64 subclasses float, so CSV and JSON text cannot tell
+        # the two apart; M=4 takes the coded surface forms through np.log2
+        m = 4 if scheme in harness._ASTBC_SCHEMES else None
+        grid = (0.0, 6.0)
+        records = run_ber_sweep(_cfg(scheme=scheme, m=m, snr_db_grid=grid, trials=20, record_wall_time=True))
+        records += analytic_sweep(scheme, 8, 2, m, grid)
+        cells = [getattr(r, c) for r in records for c in harness.CSV_COLUMNS if c not in harness._INT_COLUMNS]
+        assert {type(v) for v in cells} - {str, type(None)} == {float}
 
     def test_io_errors_carry_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
