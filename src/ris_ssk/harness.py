@@ -460,9 +460,11 @@ def estimate_diversity_slope(records: list[BerRecord]) -> float:
 def binomial_confidence(errors: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for an error rate (z standard deviations) over
     ``trials`` Bernoulli trials (bits, for a BER); exactly 0 or 1 at the ends."""
-    errors, trials = _integer("errors", errors), _integer("trials", trials, 1)
+    errors, trials, z = _integer("errors", errors), _integer("trials", trials, 1), _real("z", z)
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors} of {trials}")
+    if not 0 < z < math.inf:  # a negative z inverts the interval, nan makes it (nan, nan)
+        raise ValueError(f"z must be finite and positive, got {z}")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -388,7 +388,7 @@ class TestCodedKernel:
              [(1005, 3137), (518, 1674)]),
             (dict(scheme="pb", n=16, snr_db_grid=(-16.0, -12.0), seed=41), [(55, None), (5, None)]),
             (dict(scheme="pb-lowcomplexity", nt=4, snr_db_grid=(-8.0, -4.0), seed=42), [(578, None), (230, None)]),
-            (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(8, None), (1, None)]),
+            (dict(scheme="pb-sdr", n=4, nt=4, snr_db_grid=(-4.0, 0.0), trials=15, seed=43), [(4, None), (0, None)]),
             (dict(scheme="intelligent-ris-ssk", nt=4, snr_db_grid=(-10.0, -6.0), seed=44), [(1698, None), (1573, None)]),
             (dict(scheme="traditional-ssk", nt=4, snr_db_grid=(0.0, 5.0), seed=45), [(1151, None), (730, None)]),
             (dict(scheme="pb-lowcomplexity", nt=8, snr_db_grid=(-4.0, 0.0), seed=46), [(1030, None), (427, None)]),
@@ -404,8 +404,10 @@ class TestCodedKernel:
         # shifted its antenna indices to 1-based and back).  Two were recorded
         # again since: astbc-fast when its antenna metric became the exact ML
         # cost (its counts equal astbc-optimal's on the same config), and
-        # pb-sdr when the relaxation's ascent schedules were shortened and
-        # again when its polish became a race.  The
+        # pb-sdr when the relaxation's ascent schedules were shortened, when
+        # its polish became a race and when the relaxation's gain tolerance
+        # went from 1e-8 to 1e-4 (after the counts matched the scalar
+        # reference of TestPbKernel and a workers=2 run).  The
         # traditional-ssk counts were recorded again when its channel stream
         # came to hold only the 2·Nt direct-link normals, after they matched
         # the scalar reference of TestPbKernel on the same draws and a
@@ -572,7 +574,7 @@ class TestPbKernel:
             monkeypatch.setattr(beamform, "_ROUNDINGS", 8)
         cfg = _cfg(scheme=scheme, n=4 if sdr else 8, nt=nt, seed=63)
         count, zero_at = (9, 4) if sdr else (60, 17)
-        snr_db = ({"traditional-ssk": 0.0, "pb-sdr": -10.0}.get(scheme, -12.0)) if finite else math.inf
+        snr_db = ({"traditional-ssk": 0.0, "pb-sdr": -20.0}.get(scheme, -12.0)) if finite else math.inf
         want = _pb_reference(cfg, snr_db, 900, count, zero_at)
         # chunks of 7 trials: several full chunks and a partial last one
         monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * harness._trial_elements(cfg))
@@ -872,6 +874,15 @@ class TestBinomialConfidence:
         # 1.5 of 10 gave (0.019, 0.61) and True of 2 gave (0.048, 0.95)
         with pytest.raises(TypeError):
             binomial_confidence(errors, trials)
+
+    @pytest.mark.parametrize(
+        "z, error",
+        [(-3.0, ValueError), (0.0, ValueError), (math.nan, ValueError), (math.inf, ValueError), (True, TypeError)],
+    )
+    def test_rejects_z_that_is_not_a_finite_positive_real(self, z, error):
+        # z=-3 gave the inverted interval (0.160, 0.014) and z=nan (nan, nan)
+        with pytest.raises(error):
+            binomial_confidence(5, 100, z=z)
 
 
 def _readme() -> str:
