@@ -166,10 +166,12 @@ def abep_ris(q: AbepQuery) -> float:
     """Average bit error probability of the surface's phase bits.
 
     Mixes the PSK demodulation error (correct antenna decision) with a
-    coin-flip penalty weighted by the antenna union bound; held to [0, 1/2].
+    coin-flip penalty weighted by the antenna union bound, and holds the
+    mixture to 1/2.  The bound is held to 1 first: raw, it exceeds 1 at low
+    SNR, where it would weight the PSK term negatively.
     """
-    pe = union_bound_antenna(q)
-    return float(min(max(0.5 * pe + (1.0 - pe) * psk_demod_abep(q), 0.0), 0.5))
+    pe = min(union_bound_antenna(q), 1.0)
+    return float(min(0.5 * pe + (1.0 - pe) * psk_demod_abep(q), 0.5))
 
 
 def abep_source_asymptotic(q: AbepQuery) -> float:

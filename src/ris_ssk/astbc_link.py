@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import cascaded_gains
+from .channel import _integer, cascaded_gains
 
 # Unused here; perfbench's tracer is its only reader, wrapping it under this module.
 from .channel import sample_awgn
@@ -24,7 +24,8 @@ _TWO_PI = 2.0 * np.pi
 
 def psk_phases(m: int) -> np.ndarray:
     """The M-ary phase alphabet {0, 2pi/M, ..., 2pi(M-1)/M}."""
-    if m < 2 or m & (m - 1):
+    m = _integer("PSK order", m, 2)
+    if m & (m - 1):
         raise ValueError("PSK order must be a power of two >= 2")
     return _TWO_PI * np.arange(m) / m
 

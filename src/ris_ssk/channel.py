@@ -81,8 +81,10 @@ class StreamBank:
     """Reusable generator that re-keys itself per trial.
 
     Produces streams bit-identical to :func:`substream` while skipping the
-    per-trial generator construction cost.  Not safe to share across
-    threads or processes; create one per worker and purpose.
+    per-trial generator construction cost: :meth:`trial` re-keys it to one
+    trial, :meth:`draw` to each of a block of consecutive trials in turn.
+    Not safe to share across threads or processes; create one per worker
+    and purpose.
     """
 
     def __init__(self, seed: int, purpose: str):
@@ -109,6 +111,32 @@ class StreamBank:
         self._key[1] = (_integer("trial index", trial, 0, TRIAL_LIMIT) << 16) | self._purpose
         self._bg.state = self._state
         return self._gen
+
+    def draw(self, start: int, rows, k: int = 0) -> list[int]:
+        """Draw trials start, start + 1, ... one per entry of ``rows``, each on
+        its own stream: its first ``k`` raw 64-bit words, then standard
+        normals filling its row (a float64 array; None draws none).
+
+        Returns the words as ints, trial by trial: what :meth:`trial`'s
+        generator gives through ``bit_generator.random_raw()`` ``k`` times and
+        then ``standard_normal(out=row)``.  The block is checked once, at
+        both ends: ``start`` as a trial index and its end against 2^48."""
+        start = _integer("trial index", start, 0, TRIAL_LIMIT)
+        _integer("one past the last trial index", start + len(rows), 0, TRIAL_LIMIT + 1)
+        key, state, bg = self._key, self._state, self._bg
+        raw, normal, each = bg.random_raw, self._gen.standard_normal, range(k)
+        words = []
+        word = words.append
+        code = (start << 16) | self._purpose
+        for row in rows:
+            key[1] = code
+            bg.state = state
+            for _ in each:
+                word(raw())
+            if row is not None:
+                normal(out=row)
+            code += 1 << 16
+        return words
 
 
 def _index_shift(bound) -> int:

@@ -227,31 +227,29 @@ def _draws(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: i
     """The draw phase of every chunk kernel but pb's: trials [start, start +
     count) in chunks; yields (at, z, words, w) for trials [at, at + len(z)).
 
-    Per trial, only the keyed draws run in Python, each on the trial's own
-    streams and in a fixed order: the channel normals into its row of ``z``
-    on the ``channel`` purpose's stream (traditional-ssk draws only its 2·Nt
-    direct links), then on the data stream its raw ``words`` (the antenna's,
-    and for the coded schemes one for both phase indices) and, only when
-    n0 > 0, one complex noise sample a word.  ``z`` is scaled into complex
-    normals in place; ``w`` is the (chunk, words) complex noise, None when
-    noiseless.  The next chunk reuses ``z`` and ``words``."""
+    Each chunk takes one :meth:`StreamBank.draw` block per stream, every
+    trial on its own streams: on the ``channel`` purpose's stream its
+    channel normals into its row of ``z`` (traditional-ssk draws only its
+    2·Nt direct links); on the data stream its raw ``words`` (the antenna's,
+    and for the coded schemes one for both phase indices), then, only when
+    n0 > 0, one complex noise sample a word.  The streams are independent,
+    so drawing a chunk's channel rows before its data rows changes no value.
+    ``z`` is scaled into complex normals in place; ``words`` is (chunk, k)
+    uint64; ``w`` is the (chunk, words) complex noise, None when noiseless.
+    The next chunk reuses ``z``."""
     k = 2 if cfg.scheme in _ASTBC_SCHEMES else 1
     ch_bank, data_bank = StreamBank(cfg.seed, channel), StreamBank(cfg.seed, "data")
     chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
     z = np.empty((chunk, 2 * cfg.nt if cfg.scheme == "traditional-ssk" else channel_draw_size(cfg.n, cfg.nt)))
-    words = np.empty((chunk, k), dtype=np.uint64)
     w = np.empty((chunk, 2 * k))
     noisy = noise.n0 > 0
+    z_rows, w_rows = list(z), list(w) if noisy else [None] * chunk
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
-        for t in range(b):
-            ch_bank.trial(at + t).standard_normal(out=z[t])
-            rng = data_bank.trial(at + t)
-            words[t] = rng.bit_generator.random_raw(k)
-            if noisy:
-                rng.standard_normal(out=w[t])
+        ch_bank.draw(at, z_rows[:b])
+        words = np.array(data_bank.draw(at, w_rows[:b], k), dtype=np.uint64).reshape(b, k)
         complex_normals(z[:b])
-        yield at, z[:b], words[:b], (w[:b] * math.sqrt(noise.n0 / 2.0)).view(np.complex128) if noisy else None
+        yield at, z[:b], words, (w[:b] * math.sqrt(noise.n0 / 2.0)).view(np.complex128) if noisy else None
 
 
 def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):

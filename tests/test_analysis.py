@@ -259,9 +259,20 @@ class TestRisAbep:
             assert abep_ris(q) >= min(psk_demod_abep(q), 0.5) * (1 - union_bound_antenna(q))
 
     def test_clamped_to_half(self):
-        q = AbepQuery(rho=1e-18, n=2, nt=4, m=4)
-        assert abep_ris(q) == 0.5
-        assert union_bound_antenna(q) > 1  # the raw bound is no probability
+        # at M >= 8 the PSK term exceeds 1/2 at low SNR, so a raw bound above
+        # 1 would weight it negatively and pull the mixture below 1/2
+        for m in (4, 8):
+            q = AbepQuery(rho=1e-18, n=2, nt=4, m=m)
+            assert abep_ris(q) == 0.5, m
+            assert union_bound_antenna(q) > 1  # the raw bound is no probability
+
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("nt", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 8, 64, 256])
+    def test_nonincreasing_in_snr(self, n, nt, m):
+        values = [abep_ris(AbepQuery(rho=10.0 ** (s / 10.0), n=n, nt=nt, m=m)) for s in np.arange(-60.0, 40.5, 0.5)]
+        assert values[0] == 0.5
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_closed_forms_return_python_floats(self, m):

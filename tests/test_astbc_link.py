@@ -80,6 +80,19 @@ class TestRisBitMapping:
         with pytest.raises(ValueError):
             psk_phases(3)
 
+    def test_order_follows_the_number_rule(self):
+        # a bool or float order is refused by type, not by an operator, and
+        # a numpy integer gives the plain int's alphabet
+        for bad in (True, 4.0, "4"):
+            with pytest.raises(TypeError):
+                psk_phases(bad)
+        for bad in (1, 0, -4, 6):
+            with pytest.raises(ValueError):
+                psk_phases(bad)
+        assert np.array_equal(psk_phases(np.int64(4)), psk_phases(4))
+        with pytest.raises(TypeError):
+            detect_ml(0j, 0j, np.ones(2), np.ones(2), m=True)
+
 
 class TestTransmit:
     def test_noiseless_zero_phases(self):

@@ -81,6 +81,34 @@ class TestStreams:
         assert np.array_equal(substream(np.uint64(1), np.int64(2), "data").standard_normal(4), want)
         assert np.array_equal(StreamBank(np.int32(1), "data").trial(np.int64(2)).standard_normal(4), want)
 
+    @pytest.mark.parametrize("purpose", ["channel", "data", "sdr", "oracle"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_block_draw_equals_one_trial_draws(self, purpose, k):
+        # rows of several lengths and None rows, from a nonzero start
+        start = 2**40 - 3
+        rows = [None if s is None else np.empty(s) for s in (4, None, 9, 1, None, 6)]
+        bank = StreamBank(42, purpose)
+        bank.trial(5).standard_normal(3)  # a part-used stream does not leak into the block
+        got = bank.draw(start, rows, k)
+        ref = StreamBank(42, purpose)
+        want = []
+        for t, row in enumerate(rows):
+            gen = ref.trial(start + t)
+            want += [gen.bit_generator.random_raw() for _ in range(k)]
+            if row is not None:
+                assert np.array_equal(row, gen.standard_normal(out=np.empty(len(row)))), t
+        assert got == want and all(type(w) is int for w in got)
+        assert np.array_equal(bank.trial(7).standard_normal(4), substream(42, 7, purpose).standard_normal(4))
+
+    def test_block_draw_checks_both_ends_before_drawing(self):
+        bank = StreamBank(1, "data")
+        rows = [np.zeros(2), np.zeros(2), np.zeros(2)]
+        for start, error in ((-1, ValueError), ((1 << 48) - 2, ValueError), (True, TypeError), (np.bool_(False), TypeError)):
+            with pytest.raises(error):
+                bank.draw(start, rows, 1)
+        assert not any(row.any() for row in rows)  # nothing was drawn
+        assert len(bank.draw((1 << 48) - 3, rows, 1)) == 3  # the last index is 2^48 - 1
+
 
 def _is_type_check(node) -> bool:
     """Is ``node`` np.bool_, or an isinstance test against bool or a

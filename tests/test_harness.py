@@ -379,6 +379,20 @@ class TestCodedKernel:
         assert sum(len(s) for s, _ in chunks) == 30
         assert all(np.array_equal(s, d) for s, d in chunks)
 
+    @pytest.mark.parametrize("scheme", [s for s in harness.SCHEMES if s != "pb"])
+    def test_draw_phase_keys_streams_by_the_block(self, scheme, monkeypatch):
+        # one block call per stream and chunk, and no one-trial re-key on the
+        # channel and data streams; pb-sdr re-keys its sdr stream per solve
+        monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
+        calls = []
+        monkeypatch.setattr(harness, "StreamBank", type("Bank", (_CountingBank,), {"calls": calls}))
+        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, snr_db_grid=(-4.0,), trials=30, seed=67)
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * harness._trial_elements(cfg))
+        harness.run_ber_sweep(cfg)
+        assert [c for c in calls if c[0] != "sdr"] == [("channel", "draw"), ("data", "draw")] * 3
+        assert calls.count(("sdr", "trial")) == (30 if scheme == "pb-sdr" else 0)
+
     @pytest.mark.parametrize(
         "kw, want",
         [
@@ -485,8 +499,9 @@ class TestCodedKernel:
 
 
 class _NoiseRefusingBank(StreamBank):
-    """StreamBank whose data-stream generator keeps its raw words and
-    refuses every normal draw, so a trial that draws noise raises."""
+    """StreamBank whose data stream keeps its raw words and refuses every
+    normal draw, a one-trial generator's or a block's noise row, so a trial
+    that draws noise raises."""
 
     class _Words:
         def __init__(self, gen):
@@ -502,6 +517,11 @@ class _NoiseRefusingBank(StreamBank):
     def trial(self, k):
         gen = super().trial(k)
         return self._Words(gen) if self.data else gen
+
+    def draw(self, start, rows, k=0):
+        if self.data and any(row is not None for row in rows):
+            raise AssertionError("a noiseless trial drew noise")
+        return super().draw(start, rows, k)
 
 
 class _Zeros:
@@ -527,7 +547,31 @@ def _zero_channel_at(trial):
             gen = super().trial(k)
             return _Zeros() if self.zeroed and k == trial else gen
 
+        def draw(self, start, rows, k=0):
+            words = super().draw(start, rows, k)
+            if self.zeroed and 0 <= trial - start < len(rows):
+                rows[trial - start][...] = 0.0
+            return words
+
     return Bank
+
+
+class _CountingBank(StreamBank):
+    """StreamBank that logs each (purpose, method) call in ``calls``."""
+
+    calls: list
+
+    def __init__(self, seed, purpose):
+        super().__init__(seed, purpose)
+        self.purpose = purpose
+
+    def trial(self, k):
+        self.calls.append((self.purpose, "trial"))
+        return super().trial(k)
+
+    def draw(self, start, rows, k=0):
+        self.calls.append((self.purpose, "draw"))
+        return super().draw(start, rows, k)
 
 
 def _pb_reference(cfg, snr_db, start, count, zero_at):
