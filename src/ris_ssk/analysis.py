@@ -66,6 +66,7 @@ class ChiSquarePdfParams:
     b: float
 
     def pdf(self, x, n: int):
+        n = _integer("n", n, 1)
         x = np.asarray(x, dtype=float)
         return x / (self.a * n**2) * np.exp(-x / (self.b * n))
 
@@ -121,6 +122,7 @@ def abep_pb_two_tx(q: AbepQuery) -> float:
 
 def psk_g(i: int, m: int) -> float:
     """PSK pairwise coefficient sin^2((2i - 1) pi / M) for 1 <= i <= max(M/4, 1)."""
+    i, m = _integer("a PSK index", i), _integer("m", m, 1)
     if not 1 <= i <= max(m // 4, 1):
         raise IndexError(f"index {i} out of range 1..{max(m // 4, 1)}")
     return float(np.sin((2 * i - 1) * np.pi / m) ** 2)

@@ -29,13 +29,6 @@ TRIAL_LIMIT = 1 << 48
 SEED_LIMIT = 1 << 64
 
 
-def _purpose_code(purpose: str) -> int:
-    code = _PURPOSE_CODES.get(purpose)
-    if code is None:
-        raise ValueError(f"unknown stream purpose {purpose!r}; choose from {tuple(_PURPOSE_CODES)}")
-    return code
-
-
 def _integer(name: str, v, least: int | None = None, below: int | None = None) -> int:
     """``v`` as an int in [least, below), either end optional: the package's
     one number rule, with :func:`_real`.  Numpy integers are accepted; a bool,
@@ -58,53 +51,50 @@ def _real(name: str, v) -> float:
     return float(v)
 
 
-def _philox_key(seed: int, trial: int, purpose: str) -> np.ndarray:
-    seed = _integer("seed", seed, 0, SEED_LIMIT)
-    trial = _integer("trial index", trial, 0, TRIAL_LIMIT)
-    key = np.empty(2, dtype=np.uint64)
-    key[0] = np.uint64(seed)
-    key[1] = (np.uint64(trial) << np.uint64(16)) | np.uint64(_purpose_code(purpose))
-    return key
-
-
 def substream(seed: int, trial: int, purpose: str = "channel") -> np.random.Generator:
-    """Independent random stream for one (seed, trial, purpose) triple.
+    """Independent random stream for one (seed, trial, purpose) triple: a
+    fresh :class:`StreamBank`'s stream for that trial, so the generator is
+    the caller's own.
 
     The same triple always yields a bit-identical stream, which makes every
     Monte Carlo trial reproducible in isolation and under any parallel
     execution order.
     """
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, trial, purpose)))
+    return StreamBank(seed, purpose).trial(trial)
 
 
 class StreamBank:
-    """Reusable generator that re-keys itself per trial.
+    """The package's one keyed-stream implementation: a generator that
+    re-keys itself per trial.
 
-    Produces streams bit-identical to :func:`substream` while skipping the
-    per-trial generator construction cost: :meth:`trial` re-keys it to one
-    trial, :meth:`draw` to each of a block of consecutive trials in turn.
+    Trial t of a bank for ``purpose`` on ``seed`` draws from the Philox
+    stream keyed [seed, t·2^16 + the purpose's code], from counter zero.
+    :meth:`trial` re-keys it to one trial, :meth:`draw` to each of a block
+    of consecutive trials in turn, both without constructing a generator.
     Not safe to share across threads or processes; create one per worker
     and purpose.
     """
 
     def __init__(self, seed: int, purpose: str):
-        key = _philox_key(seed, 0, purpose)
-        self._bg = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bg)
+        seed = _integer("seed", seed, 0, SEED_LIMIT)
+        if purpose not in _PURPOSE_CODES:
+            raise ValueError(f"unknown stream purpose {purpose!r}; choose from {tuple(_PURPOSE_CODES)}")
+        self._purpose = _PURPOSE_CODES[purpose]
         # A fresh-stream state held as plain ints: the state setter converts
         # them several times faster than numpy scalars.  Only key[1] changes
         # per trial; counter, buffer position and the uint32 cache always
         # restart, exactly as in a newly constructed generator.
+        self._key = [seed, self._purpose]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [int(key[0]), int(key[1])]},
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._key = self._state["state"]["key"]
-        self._purpose = _purpose_code(purpose)
+        self._bg = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bg)
 
     def trial(self, trial: int) -> np.random.Generator:
         """Return the shared generator re-keyed to the given trial index."""
@@ -115,7 +105,8 @@ class StreamBank:
     def draw(self, start: int, rows, k: int = 0) -> list[int]:
         """Draw trials start, start + 1, ... one per entry of ``rows``, each on
         its own stream: its first ``k`` raw 64-bit words, then standard
-        normals filling its row (a float64 array; None draws none).
+        normals filling its row (a float64 array; None draws none); ``k`` is
+        read once, as a nonnegative integer.
 
         Returns the words as ints, trial by trial: what :meth:`trial`'s
         generator gives through ``bit_generator.random_raw()`` ``k`` times and
@@ -124,7 +115,8 @@ class StreamBank:
         start = _integer("trial index", start, 0, TRIAL_LIMIT)
         _integer("one past the last trial index", start + len(rows), 0, TRIAL_LIMIT + 1)
         key, state, bg = self._key, self._state, self._bg
-        raw, normal, each = bg.random_raw, self._gen.standard_normal, range(k)
+        raw, normal = bg.random_raw, self._gen.standard_normal
+        each = range(_integer("a word count", k, 0))
         words = []
         word = words.append
         code = (start << 16) | self._purpose

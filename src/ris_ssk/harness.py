@@ -527,9 +527,10 @@ def _oracle_distances(seed: int, n: int, nt: int, reference) -> np.ndarray:
     each solved by the relaxation on its sdr stream: the (3, 100) d_min of
     the relaxation, the candidate set and the criterion's ``reference(ch)``."""
     d = np.empty((3, 100))
+    oracle, sdr = StreamBank(seed, "oracle"), StreamBank(seed, "sdr")
     for t in range(100):
-        ch = sample_channel(n, nt, substream(seed, t, "oracle"))
-        rv = beamform.sdr_beamform(ch, rng=substream(seed, t, "sdr"))
+        ch = sample_channel(n, nt, oracle.trial(t))
+        rv = beamform.sdr_beamform(ch, rng=sdr.trial(t))
         for row, phi in enumerate((rv, beamform.low_complexity_beamform(ch), reference(ch))):
             d[row, t] = beamform.min_pairwise_distance(ch, phi)
     return d

@@ -192,6 +192,18 @@ class TestPskCoefficients:
         with pytest.raises(IndexError):
             psk_g(0, 8)
 
+    @pytest.mark.parametrize(
+        "i, m, error",
+        [(True, 4, TypeError), (1, True, TypeError), (1.0, 4, TypeError), (1, 4.0, TypeError), (1, 0, ValueError)],
+    )
+    def test_reads_integers(self, i, m, error):
+        # psk_g(True, 4) gave 0.5, psk_g(1, True) 1.5e-32 and psk_g(1, 0) a ZeroDivisionError
+        with pytest.raises(error):
+            psk_g(i, m)
+
+    def test_accepts_numpy_integers(self):
+        assert psk_g(np.int64(2), np.uint8(8)) == psk_g(2, 8)
+
 
 class TestAstbcPep:
     def test_blind_guessing_limit(self):
@@ -356,3 +368,11 @@ class TestAbepQueryValidation:
         for params, n in ((PAIR_DISTANCE_PDF, 32), (COMBINED_GAIN_PDF, 64)):
             total, _ = quad(lambda x: params.pdf(x, n), 0, np.inf, limit=200)
             assert total == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (-2, ValueError), (True, TypeError), (0.5, TypeError)])
+    def test_chi_square_pdfs_read_the_element_count(self, n, error):
+        # n=0 gave nan with RuntimeWarnings; True and 0.5 were accepted
+        for params in (PAIR_DISTANCE_PDF, COMBINED_GAIN_PDF):
+            with pytest.raises(error, match="n must be"):
+                params.pdf(1.0, n)
+        assert PAIR_DISTANCE_PDF.pdf(1.0, np.int64(8)) == PAIR_DISTANCE_PDF.pdf(1.0, 8)

@@ -253,6 +253,10 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="levels of at most 5 fit"):
             brute_force_beamform(ch, 16)
 
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="levels must be at least 1"):
+            brute_force_beamform(_channel(2, 2, 53), 0)
+
 
 def _aligned(ch, l):
     """The intelligent baseline's coefficients while antenna l is active:

@@ -34,11 +34,22 @@ class TestStreams:
         assert not np.array_equal(base, substream(8, 123, "channel").standard_normal(8))
 
     def test_stream_bank_matches_substream(self):
-        bank = StreamBank(42, "data")
-        for trial in (0, 1, 17, 99999, 2**40):
-            want = substream(42, trial, "data").standard_normal(9)
-            got = bank.trial(trial).standard_normal(9)
-            assert np.array_equal(want, got)
+        # an outside reference: a plain Philox generator on the documented
+        # key [seed, trial·2^16 + purpose code], at both ends of each field
+        def reference(seed, trial, code):
+            key = np.array([seed, trial << 16 | code], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        for code, purpose in enumerate(("channel", "data", "sdr", "oracle")):
+            for seed in (0, 2**64 - 1):
+                bank = StreamBank(seed, purpose)
+                for trial in (0, 2**48 - 1):
+                    bank.trial(5).integers(0, 4)
+                    assert bank._bg.state["has_uint32"] == 1  # the high half of a word is cached
+                    for gen in (bank.trial(trial), substream(seed, trial, purpose)):
+                        want = reference(seed, trial, code)
+                        assert np.array_equal(gen.integers(0, 4, 3), want.integers(0, 4, 3)), (purpose, seed, trial)
+                        assert np.array_equal(gen.standard_normal(9), want.standard_normal(9)), (purpose, seed, trial)
 
     @pytest.mark.parametrize("purpose", ["weird-tag", "Channel", "", 0, 2])
     def test_unknown_purpose_raises(self, purpose):
@@ -109,6 +120,15 @@ class TestStreams:
         assert not any(row.any() for row in rows)  # nothing was drawn
         assert len(bank.draw((1 << 48) - 3, rows, 1)) == 3  # the last index is 2^48 - 1
 
+    @pytest.mark.parametrize("k, error", [(True, TypeError), (-1, ValueError), (2.5, TypeError)])
+    def test_block_draw_checks_the_word_count(self, k, error):
+        # True drew one word and -1 none, both silently; 2.5 failed inside range()
+        rows = [np.zeros(2)]
+        with pytest.raises(error, match="word count"):
+            StreamBank(1, "data").draw(0, rows, k)
+        assert not rows[0].any()
+        assert StreamBank(1, "data").draw(0, [None], np.int64(2)) == StreamBank(1, "data").draw(0, [None], 2)
+
 
 def _is_type_check(node) -> bool:
     """Is ``node`` np.bool_, or an isinstance test against bool or a
@@ -125,9 +145,20 @@ def _is_type_check(node) -> bool:
     )
 
 
-def _type_check_sites() -> set[tuple[str, int, str]]:
-    """(module, line, enclosing function's qualified name) of every type
-    check in the package's modules."""
+def _is_numpy_random_call(node) -> bool:
+    """Is ``node`` a call into numpy.random, such as np.random.Philox(...)?"""
+    if not isinstance(node, ast.Call):
+        return False
+    parts, f = [], node.func
+    while isinstance(f, ast.Attribute):
+        parts.append(f.attr)
+        f = f.value
+    return isinstance(f, ast.Name) and f.id in ("np", "numpy") and parts[-1:] == ["random"]
+
+
+def _sites(is_site) -> set[tuple[str, int, str]]:
+    """(module, line, enclosing function's qualified name) of every node
+    in the package's modules for which ``is_site`` holds."""
     sites = set()
 
     def visit(node, module, scope):
@@ -135,7 +166,7 @@ def _type_check_sites() -> set[tuple[str, int, str]]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if _is_type_check(child):
+            if is_site(child):
                 sites.add((module, child.lineno, scope))
             visit(child, module, inner)
 
@@ -149,9 +180,18 @@ class TestNumberRule:
         # channel._integer and channel._real hold the one rule for what a
         # number is; an entry point that needs it calls them, so the rule
         # is extended in one place rather than forked
-        sites = _type_check_sites()
+        sites = _sites(_is_type_check)
         scopes = {(module, scope) for module, _, scope in sites}
         assert scopes == {("channel", "_integer"), ("channel", "_real")}, sorted(sites)
+
+
+class TestStreamKey:
+    def test_generators_are_built_only_by_the_stream_bank(self):
+        # StreamBank.__init__ builds the one Philox key and its generator;
+        # a second construction site would be a second key encoder
+        sites = _sites(_is_numpy_random_call)
+        assert {(module, scope) for module, _, scope in sites} == {("channel", "StreamBank.__init__")}, sorted(sites)
+        assert len(sites) == 2, sorted(sites)  # the Philox bit generator and its Generator
 
 
 class TestRawIndices:

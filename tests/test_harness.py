@@ -887,6 +887,8 @@ class TestOutputFiles:
     def test_io_errors_carry_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             write_csv([], tmp_path / "no" / "such" / "dir.csv")
+        with pytest.raises(OSError, match="cannot write JSON to .*no/such"):
+            write_json([], tmp_path / "no" / "such" / "r.json")
 
 
 class TestBinomialConfidence:
@@ -994,6 +996,13 @@ class TestCli:
         why = "repeated" if key in cli._SETTINGS else "unknown"
         assert f"sim.cfg:3: {why} setting {key!r}" in err
 
+    def test_config_file_rejects_a_line_without_a_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("scheme = pb\nn 8\n")
+        argv = ["sweep", "--config", str(cfg_file), "--nt", "2", "--snr", "0", "--trials", "10", "--seed", "0"]
+        assert cli.main(argv) == 2
+        assert "sim.cfg:2: expected key = value" in capsys.readouterr().err
+
     def test_analytic_command(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"
         rc = cli.main(
@@ -1015,6 +1024,14 @@ class TestCli:
         assert cli.main(["optimize", "--method", "sdr", "--n", "4", "--nt", "4"]) == 0
         out = capsys.readouterr().out
         assert "relaxation_objective" in out
+
+    def test_optimize_low_complexity_command(self, capsys):
+        assert cli.main(["optimize", "--method", "low-complexity", "--n", "6", "--nt", "4", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        ch = sample_channel(6, 4, substream(5, 0, "channel"))
+        d = beamform.min_pairwise_distance(ch, beamform.low_complexity_beamform(ch))
+        assert out.startswith("method=low-complexity n=6 nt=4 seed=5\n")
+        assert f"d_min = {d:.6f}\n" in out and "solver:" not in out
 
     def test_optimize_leaves_print_options_alone(self, capsys):
         # numpy's defaults, set here so an earlier leak cannot hide one
@@ -1100,6 +1117,15 @@ class TestCli:
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
         out, err = capsys.readouterr()
         assert "SNR" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "analytic"])
+    def test_snr_grid_needs_three_fields(self, command, capsys):
+        argv = [command, "--scheme", "pb", "--n", "8", "--snr=0:1"]
+        if command == "sweep":
+            argv += ["--nt", "2", "--trials", "10", "--seed", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "grid must be start:stop:step" in err and out == ""
 
     def test_trial_index_limit_checked_before_any_point(self, monkeypatch, capsys):
         # used to run three points, then fail at the fourth's first trial index
