@@ -197,26 +197,25 @@ def abep_ris_asymptotic(q: AbepQuery) -> float:
 
 
 def analytic_abep(
-    scheme: str, rho: float, n: int, nt: int, m: int | None
+    form: str | None, rho: float, n: int, nt: int, m: int | None
 ) -> tuple[float | None, float | None]:
-    """(source, surface) ABEP for a scheme at an operating point.
+    """(source, surface) ABEP of a closed-form family at an operating point.
 
-    Returns None where no closed form is in scope: the beamformed scheme
-    has a source expression only for two antennas, and the alignment and
-    direct-link baselines have none at all.  Non-finite SNR (the noiseless
-    mode) has no closed-form operating point either.
+    ``form`` is a scheme's closed-form family, from its row of the scheme
+    table: "beamformed", the Gaussian approximation of the beamformed
+    scheme, a source expression for two antennas only; "coded", the source
+    and surface forms of the two-slot code; None for a scheme without one
+    (the alignment and direct-link baselines).  Returns None where no closed
+    form is in scope, and at non-finite SNR (the noiseless mode), which has
+    no closed-form operating point.
     """
-    if not np.isfinite(rho):
+    if form is None or not np.isfinite(rho):
         return None, None
-    if scheme in ("pb", "pb-lowcomplexity", "pb-sdr"):
-        if nt == 2:
-            return abep_pb_two_tx(AbepQuery(rho=rho, n=n, nt=2)), None
-        return None, None
-    if scheme in ("astbc-fast", "astbc-optimal"):
+    if form == "beamformed":
+        return (abep_pb_two_tx(AbepQuery(rho=rho, n=n, nt=2)) if nt == 2 else None), None
+    if form == "coded":
         if m is None:
             raise ValueError("coded schemes need a PSK order m")
         q = AbepQuery(rho=rho, n=n, nt=nt, m=m)
         return abep_source(q), abep_ris(q)
-    if scheme in ("intelligent-ris-ssk", "traditional-ssk"):
-        return None, None
-    raise ValueError(f"unknown scheme: {scheme}")
+    raise ValueError(f"unknown closed-form family: {form!r}")

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelRealization, cascaded_gains
+from .channel import ChannelRealization, _integer, cascaded_gains
 
 _TWO_PI = 2.0 * np.pi
 
@@ -149,8 +149,7 @@ def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
     argmax of the minimum pairwise distance is returned.  Refuses grids
     of more than 2^20 evaluations.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    levels = _integer("levels", levels, 1)
     total = levels**ch.n
     if total > 1 << 20:
         fit = int(2 ** (20 / ch.n) + 1e-9)

@@ -260,8 +260,7 @@ def sample_channel(n: int, nt: int, rng: np.random.Generator, out: np.ndarray | 
     unit variance, split evenly between the real and imaginary parts.  Given
     ``out``, a float64 row of ``channel_draw_size`` elements, they are views
     of the draws in it."""
-    if n < 1 or nt < 1:
-        raise ValueError("channel dimensions must be at least 1")
+    n, nt = _integer("n", n, 1), _integer("nt", nt, 1)
     if out is None:
         out = np.empty(channel_draw_size(n, nt))
     elif out.ndim != 1:

@@ -100,7 +100,7 @@ def _print_records(records) -> None:
     for r in records:
         ci = ""
         if r.trials and r.source_errors is not None:
-            bits = r.trials * harness._bits_per_trial(r.scheme, r.nt, r.m)[0]
+            bits = r.trials * harness.SCHEME_TABLE[r.scheme].bits(r.nt, r.m)[0]
             lo, hi = harness.binomial_confidence(r.source_errors, bits)
             ci = f"  ci3s=[{lo:.3e},{hi:.3e}]"
         ris = f"  ber_ris={r.ber_ris:.4e}" if r.ber_ris is not None else ""

@@ -5,6 +5,12 @@ Every trial draws its randomness from streams keyed by (seed, global trial
 index, purpose), so sweeps are reproducible bit-for-bit under any worker
 count; error counting reduces by integer addition and is therefore order
 independent.
+
+A scheme is defined by its one frozen :class:`Scheme` row in
+``SCHEME_TABLE``; the dimension rules, bit counts, chunk sizes and closed
+forms read the row, never the scheme's name.  A sweep runs each chunk of
+trials through the shared draw phase, then the row's receive-point stage,
+then its decide stage.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import KW_ONLY, asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,18 +42,6 @@ from .channel import (
     substream,
 )
 
-SCHEMES = (
-    "pb",
-    "pb-lowcomplexity",
-    "pb-sdr",
-    "intelligent-ris-ssk",
-    "traditional-ssk",
-    "astbc-fast",
-    "astbc-optimal",
-)
-
-_ASTBC_SCHEMES = ("astbc-fast", "astbc-optimal")
-
 # Early-stop bookkeeping interval, fixed so results never depend on the
 # worker count.
 _STOP_CHECK_EVERY = 10_000
@@ -66,19 +61,20 @@ def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> tuple[int,
     m = None if m is None else _integer("m", m)
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    row = SCHEME_TABLE[scheme]
     if n < 1:
         raise ConfigError("n must be at least 1")
     if nt < 2 or nt & (nt - 1):
         raise ConfigError("nt must be a power of two >= 2")
-    if scheme == "pb" and nt != 2:
-        raise ConfigError("scheme 'pb' uses the two-antenna closed form; use pb-sdr or pb-lowcomplexity for nt > 2")
-    if scheme in _ASTBC_SCHEMES:
+    if row.nt is not None and nt != row.nt:
+        raise ConfigError(f"scheme {scheme!r} runs only at nt = {row.nt}")
+    if row.coded:
         if n % 2:
             raise ConfigError("two-sub-surface coding needs an even element count")
         if m is None or m < 2 or m & (m - 1):
-            raise ConfigError("astbc schemes need a power-of-two PSK order m")
+            raise ConfigError("coded schemes need a power-of-two PSK order m")
     elif m is not None:
-        raise ConfigError(f"the PSK order m applies only to {_ASTBC_SCHEMES}, not {scheme!r}")
+        raise ConfigError(f"the PSK order m applies only to the coded schemes, not {scheme!r}")
     return n, nt, m
 
 
@@ -115,9 +111,9 @@ class SimConfig:
     frozen.  ``trials`` is the most trials a point runs; when
     ``target_errors`` is set the point stops early once every counted bit
     stream has accumulated that many errors (checked at a fixed interval).
-    ``m`` (astbc schemes only) is rejected for the schemes that do not use
-    it.  ``record_wall_time`` is off by default so identical configurations
-    produce byte-identical output files.
+    ``m`` (coded schemes only) is rejected for the schemes that do not use
+    it.  ``record_wall_time``, True or False, is off by default so identical
+    configurations produce byte-identical output files.
     """
 
     scheme: str
@@ -149,6 +145,9 @@ class SimConfig:
             raise ConfigError("workers must be at least 1")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigError("target_errors must be at least 1")
+        if not (self.record_wall_time is True or self.record_wall_time is False):
+            # "no" or 2 would switch timing on and break byte-identical output
+            raise TypeError(f"record_wall_time must be True or False, got {self.record_wall_time!r}")
 
 
 @dataclass
@@ -179,22 +178,17 @@ _INT_COLUMNS = {"n", "nt", "m", "trials", "source_errors", "ris_errors", "seed"}
 def _record(scheme: str, n: int, nt: int, m: int | None, snr_db: float, **cells) -> BerRecord:
     """The record of one point, with the closed-form pair filled in; BER
     cells that ``cells`` leaves out mirror the closed form."""
-    a_src, a_ris = analysis.analytic_abep(scheme, 10.0 ** (snr_db / 10.0), n, nt, m)
+    form = SCHEME_TABLE[scheme].closed_form
+    a_src, a_ris = analysis.analytic_abep(form, 10.0 ** (snr_db / 10.0), n, nt, m)
     cells = {"ber_source": a_src, "ber_ris": a_ris, **cells}
     return BerRecord(
         scheme=scheme, n=n, nt=nt, m=m, snr_db=snr_db, analytic_source=a_src, analytic_ris=a_ris, **cells
     )
 
 
-def _bits_per_trial(scheme: str, nt: int, m: int | None) -> tuple[int, int]:
-    b_src = int(math.log2(nt))
-    b_ris = 2 * int(math.log2(m)) if scheme in _ASTBC_SCHEMES else 0
-    return b_src, b_ris
-
-
 # Element cap of one chunk of trials: a chunk holds as many trials as fit
-# this many elements per trial as ``_trial_elements`` counts them (at least
-# one), so memory stays bounded whatever the trial count or Nt * M^2.
+# this many elements per trial as the row's ``elements`` counts them (at
+# least one), so memory stays bounded whatever the trial count or Nt * M^2.
 _CHUNK_ELEMENTS = 1 << 16
 
 # The surface schemes' kernels hold about this many (rows, N) complex arrays
@@ -208,39 +202,22 @@ _CHUNK_ELEMENTS = 1 << 16
 _LIVE_TEMPORARIES = 4
 
 
-def _trial_elements(cfg: SimConfig) -> int:
-    """Elements a trial of the scheme's kernel holds: the largest per-trial
-    array on the coded and direct-link branches, every live (rows, N)
-    temporary on the surface schemes."""
-    n, nt, m = cfg.n, cfg.nt, cfg.m
-    if cfg.scheme in _ASTBC_SCHEMES:
-        metric = nt * m * m if cfg.scheme == "astbc-optimal" else 2 * nt * m
-        return max(channel_draw_size(n, nt), metric)
-    if cfg.scheme == "traditional-ssk":
-        return 2 * nt
-    if cfg.scheme == "pb-lowcomplexity":
-        return _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2)
-    return _LIVE_TEMPORARIES * n * nt
-
-
 def _draws(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
-    """The draw phase of every chunk kernel but pb's: trials [start, start +
-    count) in chunks; yields (at, z, words, w) for trials [at, at + len(z)).
+    """The shared draw phase: trials [start, start + count) in chunks;
+    yields (at, z, words, w) for trials [at, at + len(z)).
 
     Each chunk takes one :meth:`StreamBank.draw` block per stream, every
-    trial on its own streams: on the ``channel`` purpose's stream its
-    channel normals into its row of ``z`` (traditional-ssk draws only its
-    2·Nt direct links); on the data stream its raw ``words`` (the antenna's,
-    and for the coded schemes one for both phase indices), then, only when
-    n0 > 0, one complex noise sample a word.  The streams are independent,
-    so drawing a chunk's channel rows before its data rows changes no value.
-    ``z`` is scaled into complex normals in place; ``words`` is (chunk, k)
-    uint64; ``w`` is the (chunk, words) complex noise, None when noiseless.
-    The next chunk reuses ``z``."""
-    k = 2 if cfg.scheme in _ASTBC_SCHEMES else 1
+    trial on its own streams: the row's ``width`` channel normals into its
+    row of ``z`` on the ``channel`` purpose's stream; its raw ``words`` on
+    the data stream, then, only when n0 > 0, one complex noise sample a
+    word.  ``z`` is scaled into complex normals in place (and reused by the
+    next chunk); ``words`` is (chunk, words) uint64; ``w`` is the (chunk,
+    words) complex noise, None when noiseless."""
+    row = SCHEME_TABLE[cfg.scheme]
+    k = row.words
     ch_bank, data_bank = StreamBank(cfg.seed, channel), StreamBank(cfg.seed, "data")
-    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    z = np.empty((chunk, 2 * cfg.nt if cfg.scheme == "traditional-ssk" else channel_draw_size(cfg.n, cfg.nt)))
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // row.elements(cfg.n, cfg.nt, cfg.m)))
+    z = np.empty((chunk, row.width(cfg.n, cfg.nt)))
     w = np.empty((chunk, 2 * k))
     noisy = noise.n0 > 0
     z_rows, w_rows = list(z), list(w) if noisy else [None] * chunk
@@ -252,75 +229,92 @@ def _draws(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: i
         yield at, z[:b], words, (w[:b] * math.sqrt(noise.n0 / 2.0)).view(np.complex128) if noisy else None
 
 
+def _chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
+    """Sweep trials [start, start + count) in chunks: draws, receive points,
+    then decisions, unless the row pins its own chunks.  Yields (sent,
+    detected), each a (chunk, roles) array of 0-based indices: the antenna,
+    then for the coded schemes the two phase indices."""
+    row = SCHEME_TABLE[cfg.scheme]
+    if row.pinned is not None:
+        return row.pinned(cfg, noise, start, count)
+    draws = _draws(cfg, "channel", noise, start, count)
+    return (row.decide(cfg, words, w, row.points(cfg, z, at)) for at, z, words, w in draws)
+
+
+def _beamformed(coefficients):
+    """A beamformed receive-point stage: each antenna's cascaded gain under
+    the (chunk, N) coefficients ``coefficients(cfg, ch, at)``."""
+    def points(cfg, z, at):
+        ch = ChannelRealization(*channel_views(z, cfg.n, cfg.nt))
+        return cascaded_gains(ch.G, ch.f, coefficients(cfg, ch, at)[:, None])[:, 0]
+
+    return points
+
+
+def _sdr_coefficients(cfg: SimConfig, ch: ChannelRealization, at: int) -> np.ndarray:
+    """pb-sdr solves each trial on views of the chunk, on the trial's sdr stream."""
+    bank = StreamBank(cfg.seed, "sdr")
+    return np.array([beamform.sdr_beamform(ChannelRealization(ch.G[t], ch.f[t]), bank.trial(at + t)).phi
+                     for t in range(len(ch.f))])
+
+
+def _aligned_points(cfg: SimConfig, z: np.ndarray, at: int) -> np.ndarray:
+    """The alignment baseline's receive points: hypothesis a aligns the
+    surface to antenna a, whose noiseless point is then sum_i |f_i| |g_ia|."""
+    G, f = channel_views(z, cfg.n, cfg.nt)
+    return cascaded_gains(np.abs(G), np.abs(f), 1.0)[:, 0]
+
+
+def _ssk_decide(cfg: SimConfig, words, w, points):
+    """SSK's decide stage: each trial's antenna index from its word, that
+    antenna's point plus the noise, and ML detection over all the points."""
+    sent = raw_indices(words, (cfg.nt,))
+    y = points[np.arange(len(sent)), sent[:, 0]] + (0.0 if w is None else w[:, 0])
+    return sent, pb_link.detect_pb_ml(y, points)[:, None]
+
+
+def _coded_frames(cfg: SimConfig, words, w, h):
+    """(sent, y1, y2, h1, h2): the (chunk, 3) 0-based (antenna, phase 1,
+    phase 2) indices from the words, the two received slots (chunk,) with
+    the noise w, and the sub-surface sums h = (h1, h2)."""
+    psk = astbc_link.psk_symbols(cfg.m)
+    sent = raw_indices(words, (cfg.nt, cfg.m, cfg.m))
+    (h1, h2), (l0, k1, k2), rows = h, sent.T, np.arange(len(sent))
+    y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
+    if w is not None:
+        y1, y2 = y1 + w[:, 0], y2 + w[:, 1]
+    return sent, y1, y2, h1, h2
+
+
+def _coded_decide(detect, cfg: SimConfig, words, w, h):
+    """The coded decide stage: the frames, then ``detect``."""
+    sent, *frame = _coded_frames(cfg, words, w, h)
+    return sent, np.stack(detect(*frame, cfg.m), axis=-1)
+
+
 def _coded_frame_chunks(cfg: SimConfig, channel: str, noise: NoiseModel, start: int, count: int):
-    """Coded frames of trials [start, start + count) in chunks; yields (sent,
-    y1, y2, h1, h2): the (chunk, 3) 0-based (antenna, phase 1, phase 2)
-    indices, the two received slots (chunk,) and the sub-surface sums
-    (chunk, Nt).  After :func:`_draws`, index conversion and transmission
-    run once over the whole chunk."""
-    n, nt, m = cfg.n, cfg.nt, cfg.m
-    psk = astbc_link.psk_symbols(m)
-    for _, z, words, w in _draws(cfg, channel, noise, start, count):
-        sent = raw_indices(words, (nt, m, m))
-        h1, h2 = astbc_link.sub_surface_sums(*channel_views(z, n, nt))
-        l0, k1, k2 = sent.T
-        rows = np.arange(len(z))
-        y1, y2 = astbc_link.coded_slots(h1[rows, l0], h2[rows, l0], psk[k1], psk[k2])
-        if w is not None:
-            y1, y2 = y1 + w[:, 0], y2 + w[:, 1]
-        yield sent, y1, y2, h1, h2
-
-
-def _pb_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
-    """Beamformed trials [start, start + count) in chunks; yields (sent,
-    detected), each a (chunk, 1) array of 0-based antenna indices.
-
-    After :func:`_draws` (pb's chunks come from :func:`_pb_pinned_chunks`;
-    pb-sdr solves each trial on views of the chunk and its sdr stream), the
-    beamformers, receive points (one noiseless point per antenna and trial),
-    antenna indices, received samples and ML decision run once per chunk."""
-    n, nt, scheme = cfg.n, cfg.nt, cfg.scheme
-    if scheme == "pb":
-        yield from _pb_pinned_chunks(cfg, noise, start, count)
-        return
-    sdr_bank = StreamBank(cfg.seed, "sdr") if scheme == "pb-sdr" else None
-    for at, z, words, w in _draws(cfg, "channel", noise, start, count):
-        rows = np.arange(len(z))
-        if scheme == "traditional-ssk":
-            points = z.view(np.complex128)
-        else:
-            G, f = channel_views(z, n, nt)
-            if scheme == "intelligent-ris-ssk":
-                # hypothesis a aligns the surface to antenna a, whose
-                # noiseless point is then sum_i |f_i| |g_ia|
-                points = cascaded_gains(np.abs(G), np.abs(f), 1.0)[:, 0]
-            else:
-                if scheme == "pb-lowcomplexity":
-                    coeff = beamform.low_complexity_beamform(ChannelRealization(G, f))
-                else:  # pb-sdr
-                    coeff = np.array([beamform.sdr_beamform(ChannelRealization(G[t], f[t]), sdr_bank.trial(at + t)).phi
-                                      for t in range(len(z))])
-                points = cascaded_gains(G, f, coeff[:, None])[:, 0]
-        sent = raw_indices(words, (nt,))
-        y = points[rows, sent[:, 0]] + (0.0 if w is None else w[:, 0])
-        yield sent, pb_link.detect_pb_ml(y, points)[:, None]
+    """The coded frames of trials [start, start + count), chunk by chunk,
+    the channel on the ``channel`` purpose's stream (criterion 8 draws on
+    ``oracle``)."""
+    points, draws = SCHEME_TABLE[cfg.scheme].points, _draws(cfg, channel, noise, start, count)
+    return (_coded_frames(cfg, words, w, points(cfg, z, at)) for at, z, words, w in draws)
 
 
 def _pb_pinned_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
     """pb's chunks, drawn through per-trial ``sample_channel`` and ``transmit_pb``
     calls, which perfbench's ``test_traced_sweep_matches_untraced_and_records_layers``
-    counts; they stay until the benchmark counts through the harness."""
-    n = cfg.n
+    counts; they stay until the benchmark counts through the harness.  The
+    draws equal the shared draw phase's, and the receive points are pb's stage."""
+    n, row = cfg.n, SCHEME_TABLE[cfg.scheme]
     ch_bank, data_bank = StreamBank(cfg.seed, "channel"), StreamBank(cfg.seed, "data")
-    chunk = max(1, min(count, _CHUNK_ELEMENTS // _trial_elements(cfg)))
-    z = np.empty((chunk, channel_draw_size(n, 2)))
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // row.elements(n, 2, None)))
+    z = np.empty((chunk, row.width(n, 2)))
     y = np.empty(chunk, dtype=complex)
     for at in range(start, start + count, chunk):
         b = min(chunk, start + count - at)
         for t in range(b):
             sample_channel(n, 2, ch_bank.trial(at + t), out=z[t])
-        chs = ChannelRealization(*channel_views(z[:b], n, 2))
-        points = cascaded_gains(chs.G, chs.f, beamform.optimal_two_tx(chs)[:, None])[:, 0]
+        points = row.points(cfg, z[:b], at)
         sent = np.empty((b, 1), dtype=np.int64)  # yielded, so never reused
         for t in range(b):
             rng = data_bank.trial(at + t)
@@ -329,17 +323,73 @@ def _pb_pinned_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int)
         yield sent, pb_link.detect_pb_ml(y[:b], points)[:, None]
 
 
-def _chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int):
-    """Sweep trials [start, start + count) in chunks; yields (sent,
-    detected), each a (chunk, roles) array of 0-based indices: the antenna,
-    then for the coded schemes the two phase indices, decided by the
-    scheme's detector once per chunk."""
-    if cfg.scheme not in _ASTBC_SCHEMES:
-        yield from _pb_chunks(cfg, noise, start, count)
-        return
-    detect = astbc_link.detect_fast if cfg.scheme == "astbc-fast" else astbc_link.detect_ml
-    for sent, *frame in _coded_frame_chunks(cfg, "channel", noise, start, count):
-        yield sent, np.stack(detect(*frame, cfg.m), axis=-1)
+@dataclass(frozen=True)
+class Scheme:
+    """One row of the scheme table.
+
+    ``family`` is "beamformed", "direct-link" or "coded"; only the coded
+    take a PSK order m.  ``nt`` is the one antenna count allowed, None for
+    any power of two.  A trial draws ``words`` raw words and ``width(n, nt)``
+    channel normals and holds ``elements(n, nt, m)`` elements, which size
+    the chunks; ``closed_form`` is its ``analysis.analytic_abep`` family.
+    The stages run once per chunk: ``points(cfg, z, at)`` turns the channel
+    draws z of trials at, at + 1, ... into the noiseless (chunk, Nt)
+    receive points, or a coded scheme's sub-surface sums (h1, h2);
+    ``decide(cfg, words, w, points)`` transmits, adds the noise w and
+    detects, returning (sent, detected).  ``pinned``, when set, yields the
+    chunks instead.  Stages look their collaborators (``beamform``,
+    ``StreamBank``, ...) up at call time, as a traced run needs.
+    """
+
+    family: str
+    _: KW_ONLY
+    elements: Callable[[int, int, int | None], int]
+    points: Callable
+    decide: Callable = _ssk_decide
+    nt: int | None = None
+    words: int = 1
+    width: Callable[[int, int], int] = channel_draw_size
+    closed_form: str | None = None
+    pinned: Callable | None = None
+
+    @property
+    def coded(self) -> bool:
+        """Whether the PSK order m applies."""
+        return self.family == "coded"
+
+    def bits(self, nt: int, m: int | None) -> tuple[int, int]:
+        """(source, surface) bits a trial carries."""
+        return int(math.log2(nt)), 2 * int(math.log2(m)) if self.coded else 0
+
+
+def _surface_elements(n: int, nt: int, m: int | None) -> int:
+    return _LIVE_TEMPORARIES * n * nt
+
+
+def _coded_points(cfg: SimConfig, z: np.ndarray, at: int):
+    return astbc_link.sub_surface_sums(*channel_views(z, cfg.n, cfg.nt))
+
+
+SCHEME_TABLE = {
+    "pb": Scheme("beamformed", nt=2, elements=_surface_elements, closed_form="beamformed", pinned=_pb_pinned_chunks,
+                 points=_beamformed(lambda cfg, ch, at: beamform.optimal_two_tx(ch))),
+    "pb-lowcomplexity": Scheme("beamformed", elements=lambda n, nt, m: _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2),
+                               closed_form="beamformed",
+                               points=_beamformed(lambda cfg, ch, at: beamform.low_complexity_beamform(ch))),
+    "pb-sdr": Scheme("beamformed", elements=_surface_elements, closed_form="beamformed",
+                     points=_beamformed(_sdr_coefficients)),
+    "intelligent-ris-ssk": Scheme("beamformed", elements=_surface_elements, points=_aligned_points),
+    "traditional-ssk": Scheme("direct-link", width=lambda n, nt: 2 * nt, elements=lambda n, nt, m: 2 * nt,
+                              points=lambda cfg, z, at: z.view(np.complex128)),
+    "astbc-fast": Scheme("coded", words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), 2 * nt * m),
+                         closed_form="coded", points=_coded_points,
+                         decide=lambda *chunk: _coded_decide(astbc_link.detect_fast, *chunk)),
+    "astbc-optimal": Scheme("coded", words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), nt * m * m),
+                            closed_form="coded", points=_coded_points,
+                            decide=lambda *chunk: _coded_decide(astbc_link.detect_ml, *chunk)),
+}
+
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tuple[int, int]:
@@ -352,13 +402,9 @@ def _count_trials(cfg: SimConfig, snr_db: float, start: int, count: int) -> tupl
 
 
 def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
-    sizes = [count // parts + (1 if i < count % parts else 0) for i in range(parts)]
-    out, at = [], start
-    for s in sizes:
-        if s:
-            out.append((at, s))
-            at += s
-    return out
+    """[start, start + count) in at most ``parts`` nonempty (start, count) parts."""
+    ends = [start + count * i // parts for i in range(parts + 1)]
+    return [(a, b - a) for a, b in zip(ends, ends[1:]) if b > a]
 
 
 def _run_point(cfg: SimConfig, snr_db: float, base_trial: int, pool, ris_counted: bool) -> tuple[int, int, int]:
@@ -389,7 +435,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     [i * trials, i * trials + run)), so every point's randomness is
     independent of every other's and of the worker count.
     """
-    b_src, b_ris = _bits_per_trial(cfg.scheme, cfg.nt, cfg.m)
+    b_src, b_ris = SCHEME_TABLE[cfg.scheme].bits(cfg.nt, cfg.m)
     records: list[BerRecord] = []
     pool = None
     try:
@@ -404,18 +450,10 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
             t0 = time.perf_counter() if cfg.record_wall_time else None
             src_err, ris_err, done = _run_point(cfg, snr_db, i * cfg.trials, pool, b_ris > 0)
             wall = time.perf_counter() - t0 if t0 is not None else None
-            records.append(
-                _record(
-                    cfg.scheme, cfg.n, cfg.nt, cfg.m, snr_db,
-                    trials=done,
-                    source_errors=src_err,
-                    ris_errors=ris_err if b_ris else None,
-                    ber_source=src_err / (done * b_src),
-                    ber_ris=ris_err / (done * b_ris) if b_ris else None,
-                    seed=cfg.seed,
-                    wall_time_s=wall,
-                )
-            )
+            records.append(_record(
+                cfg.scheme, cfg.n, cfg.nt, cfg.m, snr_db, trials=done, source_errors=src_err,
+                ris_errors=ris_err if b_ris else None, ber_source=src_err / (done * b_src),
+                ber_ris=ris_err / (done * b_ris) if b_ris else None, seed=cfg.seed, wall_time_s=wall))
     finally:
         if pool is not None:
             pool.close()
@@ -423,9 +461,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def analytic_sweep(
-    scheme: str, n: int, nt: int, m: int | None, snr_db_grid
-) -> list[BerRecord]:
+def analytic_sweep(scheme: str, n: int, nt: int, m: int | None, snr_db_grid) -> list[BerRecord]:
     """Theory-only records over an SNR grid (no trials, no error counts).
 
     ``ber_source`` mirrors the closed form and is None where there is none.
@@ -542,18 +578,11 @@ def _check_beamformer_vs_grid() -> list[CheckResult]:
     n_ch, need = len(grid), 90
     wins = int(np.count_nonzero(sdr >= 0.95 * grid))
     return [
-        CheckResult(
-            "relaxation vs 16-level grid",
-            wins >= need,
-            f"{wins}/{n_ch} channels at >= 0.95x grid optimum",
-            f">= {need}/{n_ch}",
-        ),
-        CheckResult(
-            "relaxation vs candidate-set mean",
-            bool(sdr.mean() >= lc.mean()),
-            f"mean d_min {sdr.mean():.3f} vs candidate-set {lc.mean():.3f}",
-            "relaxation mean >= candidate-set mean",
-        ),
+        CheckResult("relaxation vs 16-level grid", wins >= need,
+                    f"{wins}/{n_ch} channels at >= 0.95x grid optimum", f">= {need}/{n_ch}"),
+        CheckResult("relaxation vs candidate-set mean", bool(sdr.mean() >= lc.mean()),
+                    f"mean d_min {sdr.mean():.3f} vs candidate-set {lc.mean():.3f}",
+                    "relaxation mean >= candidate-set mean"),
     ]
 
 
@@ -564,18 +593,10 @@ def _check_two_antenna() -> list[CheckResult]:
     exact = int(np.count_nonzero(lc == opt))
     ok99 = int(np.count_nonzero(sdr >= 0.99 * opt))
     return [
-        CheckResult(
-            "two-antenna candidate-set optimality",
-            exact == n_ch,
-            f"candidate-set d_min exactly equals closed form on {exact}/{n_ch}",
-            f"{n_ch}/{n_ch}",
-        ),
-        CheckResult(
-            "two-antenna relaxation quality",
-            ok99 == n_ch,
-            f"relaxation >= 0.99x closed form on {ok99}/{n_ch}",
-            f"{n_ch}/{n_ch}",
-        ),
+        CheckResult("two-antenna candidate-set optimality", exact == n_ch,
+                    f"candidate-set d_min exactly equals closed form on {exact}/{n_ch}", f"{n_ch}/{n_ch}"),
+        CheckResult("two-antenna relaxation quality", ok99 == n_ch,
+                    f"relaxation >= 0.99x closed form on {ok99}/{n_ch}", f"{n_ch}/{n_ch}"),
     ]
 
 
@@ -602,18 +623,11 @@ def _check_detectors() -> list[CheckResult]:
         agree += int((fast == ml).all(axis=0).sum())
     rate = agree / frames_ag
     return [
-        CheckResult(
-            "fast-detector inner phase decisions",
-            inner_match == frames_inner,
-            f"inner PSK decisions identical on {inner_match}/{frames_inner} frames",
-            f"{frames_inner}/{frames_inner}",
-        ),
-        CheckResult(
-            "fast vs optimal full-hypothesis agreement at rho*N=100",
-            rate >= 0.99,
-            f"agreement rate {rate:.4f}",
-            ">= 0.99; exact equivalence not asserted",
-        ),
+        CheckResult("fast-detector inner phase decisions", inner_match == frames_inner,
+                    f"inner PSK decisions identical on {inner_match}/{frames_inner} frames",
+                    f"{frames_inner}/{frames_inner}"),
+        CheckResult("fast vs optimal full-hypothesis agreement at rho*N=100", rate >= 0.99,
+                    f"agreement rate {rate:.4f}", ">= 0.99; exact equivalence not asserted"),
     ]
 
 
@@ -635,18 +649,10 @@ def _check_clt_moments() -> list[CheckResult]:
     mean_err = abs(mean - params.mu_v) / params.mu_v
     var_err = abs(var - params.sigma_v2) / params.sigma_v2
     return [
-        CheckResult(
-            "cascade mean (Gaussian approximation)",
-            bool(mean_err < 0.01),
-            f"sample mean {mean:.3f} vs {params.mu_v:.3f} (rel err {mean_err:.2e})",
-            "within 1%",
-        ),
-        CheckResult(
-            "cascade variance (Gaussian approximation)",
-            bool(var_err < 0.05),
-            f"sample var {var:.3f} vs {params.sigma_v2:.3f} (rel err {var_err:.2e})",
-            "within 5%",
-        ),
+        CheckResult("cascade mean (Gaussian approximation)", bool(mean_err < 0.01),
+                    f"sample mean {mean:.3f} vs {params.mu_v:.3f} (rel err {mean_err:.2e})", "within 1%"),
+        CheckResult("cascade variance (Gaussian approximation)", bool(var_err < 0.05),
+                    f"sample var {var:.3f} vs {params.sigma_v2:.3f} (rel err {var_err:.2e})", "within 5%"),
     ]
 
 
@@ -690,12 +696,8 @@ def _check_quadrature() -> list[CheckResult]:
         got = analysis.psk_demod_abep(analysis.AbepQuery(rho=rho, n=n, m=m))
         worst["psk"] = max(worst["psk"], abs(got - ref) / ref)
     return [
-        CheckResult(
-            f"closed form vs quadrature ({name})",
-            bool(err <= 1e-3),
-            f"worst {name} rel err {err:.2e} over {len(grid)}-point (rho, N) grid",
-            "<= 1e-3",
-        )
+        CheckResult(f"closed form vs quadrature ({name})", bool(err <= 1e-3),
+                    f"worst {name} rel err {err:.2e} over {len(grid)}-point (rho, N) grid", "<= 1e-3")
         for name, err in worst.items()
     ]
 

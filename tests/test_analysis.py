@@ -26,6 +26,7 @@ from ris_ssk.analysis import (
     union_bound_antenna,
 )
 from ris_ssk.channel import channel_draw_size, channel_views, complex_normals, substream
+from ris_ssk.harness import SCHEME_TABLE
 
 
 class TestQFunctions:
@@ -318,7 +319,7 @@ class TestExtremeSnr:
         # the closed forms return their limit instead of nan
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            values = [v for v in analytic_abep(scheme, 1e300, n, 2, m) if v is not None]
+            values = [v for v in analytic_abep(SCHEME_TABLE[scheme].closed_form, 1e300, n, 2, m) if v is not None]
         assert values and all(0.0 <= v <= 0.5 for v in values)
 
 

@@ -22,7 +22,7 @@ from ris_ssk.channel import (
     sample_channel,
     substream,
 )
-from ris_ssk.harness import _bits_per_trial
+from ris_ssk.harness import SCHEME_TABLE
 
 
 def code_matrix(alpha1: float, alpha2: float) -> np.ndarray:
@@ -288,6 +288,6 @@ class TestFastDetector:
     def test_spectral_efficiency_bookkeeping(self):
         # bits per two-slot frame: log2(nt) source + 2 log2(m) surface
         for nt, m in ((2, 2), (4, 8)):
-            b_src, b_ris = _bits_per_trial("astbc-fast", nt, m)
+            b_src, b_ris = SCHEME_TABLE["astbc-fast"].bits(nt, m)
             assert b_src + b_ris == np.log2(nt) + 2 * np.log2(m)
             assert (b_src + b_ris) / 2 == np.log2(m) + np.log2(nt) / 2  # per channel use

@@ -256,6 +256,11 @@ class TestBruteForce:
     def test_rejects_an_empty_grid(self):
         with pytest.raises(ValueError, match="levels must be at least 1"):
             brute_force_beamform(_channel(2, 2, 53), 0)
+        # levels follows the number rule: True and 2.5 failed inside numpy
+        # with a TypeError that named no argument
+        for levels in (True, 2.5):
+            with pytest.raises(TypeError, match="levels must be an integer"):
+                brute_force_beamform(_channel(2, 2, 53), levels)
 
 
 def _aligned(ch, l):

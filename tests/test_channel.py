@@ -252,6 +252,12 @@ class TestSampleChannel:
             sample_channel(0, 2, substream(0, 0))
         with pytest.raises(ValueError):
             sample_channel(4, 0, substream(0, 0))
+        # the dimensions follow the number rule: True failed inside numpy
+        # with a TypeError that named no argument
+        with pytest.raises(TypeError, match="n must be an integer"):
+            sample_channel(True, 2, substream(0, 0))
+        with pytest.raises(TypeError, match="nt must be an integer"):
+            sample_channel(4, 2.0, substream(0, 0))
 
     def test_determinism_same_stream_key(self):
         a = sample_channel(5, 3, substream(3, 77))

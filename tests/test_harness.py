@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -25,6 +26,7 @@ from ris_ssk.harness import (
     write_json,
 )
 from test_astbc_link import code_matrix
+from test_channel import _sites
 
 
 def _cfg(**kw):
@@ -38,6 +40,11 @@ def _cfg(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+def _elements(cfg) -> int:
+    """Elements a trial of the config's kernel holds, as its scheme's row counts them."""
+    return harness.SCHEME_TABLE[cfg.scheme].elements(cfg.n, cfg.nt, cfg.m)
 
 
 def _csv_rows(path) -> list[dict]:
@@ -82,6 +89,10 @@ _INVALID_CONFIGS = [
     (dict(workers=1.5), TypeError),
     (dict(target_errors=3.5), TypeError),
     (dict(n=True), TypeError),
+    # a flag is True or False: "no" or 2 would switch timing on
+    (dict(record_wall_time="no"), TypeError),
+    (dict(record_wall_time=2), TypeError),
+    (dict(record_wall_time=1), TypeError),
     # past +-3000 dB: at -3082.5 dB the detectors' squared
     # distances overflow; past about 3082 dB 10^(s/10) overflows
     (dict(snr_db_grid=(3000.5,)), ConfigError),
@@ -148,6 +159,32 @@ class TestConfigValidation:
         records = analytic_sweep("astbc-fast", np.int64(8), np.int32(2), np.int64(4), (0.0,))
         write_json(records, tmp_path / "a.json")
         assert json.loads((tmp_path / "a.json").read_text())[0]["n"] == 8
+
+
+def _is_scheme_name_compare(node) -> bool:
+    """Is ``node`` a comparison with a scheme-name string, or with a tuple,
+    list or set that holds one?"""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+    return any(isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value in harness.SCHEMES for e in items)
+
+
+class TestSchemeTable:
+    def test_scheme_names_are_compared_nowhere(self):
+        # a scheme's rules live in its row of harness.SCHEME_TABLE; a branch
+        # on its name elsewhere would be a second place that defines it
+        assert _sites(_is_scheme_name_compare) == set()
+
+    def test_the_guard_sees_branches_on_names(self):
+        code = 'a == "pb"\n"pb-sdr" != a\na in ("astbc-fast", "x")\na not in ["traditional-ssk"]\na in {"pb"}\na == "sdr"'
+        assert sum(map(_is_scheme_name_compare, ast.walk(ast.parse(code)))) == 5
+
+    def test_schemes_keep_their_order(self):
+        # the CLI's choices and the tests' parametrizations read SCHEMES
+        assert harness.SCHEMES == ("pb", "pb-lowcomplexity", "pb-sdr", "intelligent-ris-ssk", "traditional-ssk",
+                                   "astbc-fast", "astbc-optimal")
 
 
 @pytest.fixture
@@ -342,7 +379,7 @@ class TestCodedKernel:
     )
     def test_counts_do_not_depend_on_chunk_size(self, kw, monkeypatch):
         cfg = _cfg(n=16, seed=62, **kw)
-        per_trial = harness._trial_elements(cfg)
+        per_trial = _elements(cfg)
         counts = []
         for trials in (1, 7, harness._CHUNK_ELEMENTS // per_trial):
             monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", trials * per_trial)
@@ -357,9 +394,9 @@ class TestCodedKernel:
         # a caller may keep every chunk, as list() does; no chunk may be
         # overwritten by the next
         monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
-        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        m = 2 if harness.SCHEME_TABLE[scheme].coded else None
         cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, seed=64)
-        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * harness._trial_elements(cfg))
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * _elements(cfg))
         noise = NoiseModel.from_snr_db(-4.0)
         copied = [(s.copy(), d.copy()) for s, d in harness._chunks(cfg, noise, 0, 30)]
         kept = list(harness._chunks(cfg, noise, 0, 30))
@@ -373,7 +410,7 @@ class TestCodedKernel:
         # at n0 = 0 no trial draws a noise normal from its data stream
         monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
         monkeypatch.setattr(harness, "StreamBank", _NoiseRefusingBank)
-        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        m = 2 if harness.SCHEME_TABLE[scheme].coded else None
         cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, seed=65)
         chunks = list(harness._chunks(cfg, NoiseModel.from_snr_db(math.inf), 0, 30))
         assert sum(len(s) for s, _ in chunks) == 30
@@ -386,9 +423,9 @@ class TestCodedKernel:
         monkeypatch.setattr(beamform, "_ROUNDINGS", 8)  # cheap pb-sdr solves
         calls = []
         monkeypatch.setattr(harness, "StreamBank", type("Bank", (_CountingBank,), {"calls": calls}))
-        m = 2 if scheme in harness._ASTBC_SCHEMES else None
+        m = 2 if harness.SCHEME_TABLE[scheme].coded else None
         cfg = _cfg(scheme=scheme, n=4, nt=2, m=m, snr_db_grid=(-4.0,), trials=30, seed=67)
-        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * harness._trial_elements(cfg))
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 10 * _elements(cfg))
         harness.run_ber_sweep(cfg)
         assert [c for c in calls if c[0] != "sdr"] == [("channel", "draw"), ("data", "draw")] * 3
         assert calls.count(("sdr", "trial")) == (30 if scheme == "pb-sdr" else 0)
@@ -621,12 +658,12 @@ class TestPbKernel:
         snr_db = ({"traditional-ssk": 0.0, "pb-sdr": -20.0}.get(scheme, -12.0)) if finite else math.inf
         want = _pb_reference(cfg, snr_db, 900, count, zero_at)
         # chunks of 7 trials: several full chunks and a partial last one
-        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * harness._trial_elements(cfg))
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 7 * _elements(cfg))
         monkeypatch.setattr(harness, "StreamBank", _zero_channel_at(900 + zero_at))
         noise = NoiseModel.from_snr_db(snr_db)
         got = [
             (int(s), int(d))
-            for sent, detected in harness._pb_chunks(cfg, noise, 900, count)
+            for sent, detected in harness._chunks(cfg, noise, 900, count)
             for s, d in zip(sent[:, 0], detected[:, 0])
         ]
         assert got == want
@@ -656,7 +693,7 @@ class TestPbKernel:
         # each (chunk, pairs, N) temporary of the candidate set stays at
         # 2^14 elements or fewer, where whole 2^16 budgets measured slower
         cfg = _cfg(scheme="pb-lowcomplexity", n=n, nt=nt)
-        sizes = [len(s) for s, _ in harness._pb_chunks(cfg, NoiseModel(0.0), 0, 400)]
+        sizes = [len(s) for s, _ in harness._chunks(cfg, NoiseModel(0.0), 0, 400)]
         assert max(sizes) * n * (nt * (nt - 1) // 2) <= 1 << 14
         assert sum(sizes) == 400
 
@@ -877,7 +914,7 @@ class TestOutputFiles:
     def test_float_cells_are_python_floats(self, scheme):
         # numpy.float64 subclasses float, so CSV and JSON text cannot tell
         # the two apart; M=4 takes the coded surface forms through np.log2
-        m = 4 if scheme in harness._ASTBC_SCHEMES else None
+        m = 4 if harness.SCHEME_TABLE[scheme].coded else None
         grid = (0.0, 6.0)
         records = run_ber_sweep(_cfg(scheme=scheme, m=m, snr_db_grid=grid, trials=20, record_wall_time=True))
         records += analytic_sweep(scheme, 8, 2, m, grid)
