@@ -9,6 +9,7 @@ based averages are held to [0, 1/2] for reporting; the raw bound is
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,26 +197,25 @@ def abep_ris_asymptotic(q: AbepQuery) -> float:
     return float(0.5 * pe + pa)
 
 
-def analytic_abep(
-    form: str | None, rho: float, n: int, nt: int, m: int | None
-) -> tuple[float | None, float | None]:
-    """(source, surface) ABEP of a closed-form family at an operating point.
+def abep_beamformed(rho: float, n: int, nt: int, m: int | None) -> tuple[float | None, None]:
+    """The beamformed schemes' closed form: the Gaussian approximation's
+    source ABEP at two antennas, None beyond; no surface bits."""
+    return (abep_pb_two_tx(AbepQuery(rho=rho, n=n, nt=2)) if nt == 2 else None), None
 
-    ``form`` is a scheme's closed-form family, from its row of the scheme
-    table: "beamformed", the Gaussian approximation of the beamformed
-    scheme, a source expression for two antennas only; "coded", the source
-    and surface forms of the two-slot code; None for a scheme without one
-    (the alignment and direct-link baselines).  Returns None where no closed
-    form is in scope, and at non-finite SNR (the noiseless mode), which has
-    no closed-form operating point.
-    """
+
+def abep_coded(rho: float, n: int, nt: int, m: int) -> tuple[float, float]:
+    """The two-slot code's closed form: its source and surface ABEPs."""
+    q = AbepQuery(rho=rho, n=n, nt=nt, m=m)
+    return abep_source(q), abep_ris(q)
+
+
+def analytic_abep(
+    form: Callable | None, rho: float, n: int, nt: int, m: int | None
+) -> tuple[float | None, float | None]:
+    """(source, surface) ABEP of ``form``, a scheme's closed-form cell: a
+    function of (rho, n, nt, m) such as :func:`abep_coded`.  (None, None)
+    for no form (the alignment and direct-link baselines) and at non-finite
+    SNR (the noiseless mode), which has no closed-form operating point."""
     if form is None or not np.isfinite(rho):
         return None, None
-    if form == "beamformed":
-        return (abep_pb_two_tx(AbepQuery(rho=rho, n=n, nt=2)) if nt == 2 else None), None
-    if form == "coded":
-        if m is None:
-            raise ValueError("coded schemes need a PSK order m")
-        q = AbepQuery(rho=rho, n=n, nt=nt, m=m)
-        return abep_source(q), abep_ris(q)
-    raise ValueError(f"unknown closed-form family: {form!r}")
+    return form(rho, n, nt, m)

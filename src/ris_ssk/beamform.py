@@ -86,6 +86,13 @@ def _pairs(nt: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _one_channel(ch: ChannelRealization) -> ChannelRealization:
+    """``ch`` if it holds one channel, G (N, Nt) with no leading axes; the one-channel rule's one check."""
+    if ch.G.ndim != 2:
+        raise ValueError(f"takes one channel, G shaped (N, Nt), not a stack of them: got G {ch.G.shape}")
+    return ch
+
+
 def _dmin(gains: np.ndarray) -> np.ndarray:
     """Minimum pairwise squared distance over the antenna axis of ``gains`` (..., Nt)."""
     i, j = _pairs(gains.shape[-1])
@@ -95,6 +102,7 @@ def _dmin(gains: np.ndarray) -> np.ndarray:
 def min_pairwise_distance(ch: ChannelRealization, phi) -> float:
     """Minimum squared distance between any two antennas' receive points
     (one channel, one coefficient vector)."""
+    ch = _one_channel(ch)
     return _dmin(cascaded_gains(ch.G, ch.f, getattr(phi, "phi", phi))).item()
 
 
@@ -149,7 +157,7 @@ def brute_force_beamform(ch: ChannelRealization, levels: int) -> np.ndarray:
     argmax of the minimum pairwise distance is returned.  Refuses grids
     of more than 2^20 evaluations.
     """
-    levels = _integer("levels", levels, 1)
+    levels, ch = _integer("levels", levels, 1), _one_channel(ch)
     total = levels**ch.n
     if total > 1 << 20:
         fit = int(2 ** (20 / ch.n) + 1e-9)
@@ -313,7 +321,7 @@ def sdr_beamform(ch: ChannelRealization, rng: np.random.Generator) -> Reflection
     Deterministic given ``rng``; solver stall is not an error (the best
     iterate is used and flagged in the diagnostics).
     """
-    A = _pair_rows(ch)
+    A = _pair_rows(_one_channel(ch))
     K, T = A.shape[0], _ROUNDINGS
     rank = min(ch.n, int(np.ceil(np.sqrt(2 * K))) + 1)
     scale = float(np.mean(np.linalg.norm(A, axis=1) ** 2)) or 1.0

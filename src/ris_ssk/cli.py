@@ -42,14 +42,17 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"SNR points of a start:stop:step grid number {count}, "
                              f"over the limit of {_MAX_GRID_POINTS}: {text!r}")
         return tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
-    points = [p for p in text.split(",") if p.strip()]
+    points = text.split(",") if text.strip() else []
+    if not all(p.strip() for p in points):
+        raise ValueError(f"SNR points of an a,b,c grid must not be empty: {text!r}")
     if any(np.isinf(float(p)) and "inf" not in p.lower() for p in points):
         raise ValueError(f"finite SNR points must lie within +-{harness._SNR_LIMIT_DB:g} dB: {text!r}")
     return tuple(float(p) for p in points)
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; keys mirror CLI flags."""
+    """Flat key = value lines; '#' starts a comment; keys mirror CLI flags,
+    and an integer setting's value is read as an int."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -64,6 +67,11 @@ def load_config_file(path: str) -> dict:
                 raise harness.ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
             if key in out:
                 raise harness.ConfigError(f"{path}:{lineno}: repeated setting {key!r}")
+            if key in harness._INT_FIELDS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise harness.ConfigError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
             out[key] = value
     return out
 
@@ -91,7 +99,7 @@ def _build_sim_config(args) -> tuple[harness.SimConfig, str | None]:
     cfg = harness.SimConfig(
         scheme=scheme,
         snr_db_grid=grid,
-        **{k: int(raw[k]) for k in harness._INT_FIELDS if k in raw},
+        **{k: raw[k] for k in harness._INT_FIELDS if k in raw},
     )
     return cfg, raw.get("out")
 

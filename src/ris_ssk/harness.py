@@ -20,7 +20,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import KW_ONLY, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -327,35 +327,31 @@ def _pb_pinned_chunks(cfg: SimConfig, noise: NoiseModel, start: int, count: int)
 class Scheme:
     """One row of the scheme table.
 
-    ``family`` is "beamformed", "direct-link" or "coded"; only the coded
-    take a PSK order m.  ``nt`` is the one antenna count allowed, None for
-    any power of two.  A trial draws ``words`` raw words and ``width(n, nt)``
-    channel normals and holds ``elements(n, nt, m)`` elements, which size
-    the chunks; ``closed_form`` is its ``analysis.analytic_abep`` family.
-    The stages run once per chunk: ``points(cfg, z, at)`` turns the channel
-    draws z of trials at, at + 1, ... into the noiseless (chunk, Nt)
-    receive points, or a coded scheme's sub-surface sums (h1, h2);
-    ``decide(cfg, words, w, points)`` transmits, adds the noise w and
-    detects, returning (sent, detected).  ``pinned``, when set, yields the
-    chunks instead.  Stages look their collaborators (``beamform``,
-    ``StreamBank``, ...) up at call time, as a traced run needs.
+    ``coded`` marks the two-slot coded schemes, the only ones that take a
+    PSK order m and carry surface bits.  ``nt`` is the one antenna count
+    allowed, None for any power of two.  A trial draws ``words`` raw words
+    and ``width(n, nt)`` channel normals and holds ``elements(n, nt, m)``
+    elements, which size the chunks.  ``closed_form`` is the row's closed
+    form, a function of (rho, n, nt, m) that returns the (source, surface)
+    ABEPs, or None; ``analysis.analytic_abep`` evaluates it.  The stages
+    run once per chunk: ``points(cfg, z, at)`` turns the channel draws z of
+    trials at, at + 1, ... into the noiseless (chunk, Nt) receive points, or
+    a coded scheme's sub-surface sums (h1, h2); ``decide(cfg, words, w,
+    points)`` transmits, adds the noise w and detects, returning (sent,
+    detected).  ``pinned``, when set, yields the chunks instead.  Stages
+    look their collaborators (``beamform``, ``StreamBank``, ...) up at call
+    time, as a traced run needs.
     """
 
-    family: str
-    _: KW_ONLY
     elements: Callable[[int, int, int | None], int]
     points: Callable
     decide: Callable = _ssk_decide
+    coded: bool = False
     nt: int | None = None
     words: int = 1
     width: Callable[[int, int], int] = channel_draw_size
-    closed_form: str | None = None
+    closed_form: Callable | None = None
     pinned: Callable | None = None
-
-    @property
-    def coded(self) -> bool:
-        """Whether the PSK order m applies."""
-        return self.family == "coded"
 
     def bits(self, nt: int, m: int | None) -> tuple[int, int]:
         """(source, surface) bits a trial carries."""
@@ -371,21 +367,21 @@ def _coded_points(cfg: SimConfig, z: np.ndarray, at: int):
 
 
 SCHEME_TABLE = {
-    "pb": Scheme("beamformed", nt=2, elements=_surface_elements, closed_form="beamformed", pinned=_pb_pinned_chunks,
+    "pb": Scheme(nt=2, elements=_surface_elements, closed_form=analysis.abep_beamformed, pinned=_pb_pinned_chunks,
                  points=_beamformed(lambda cfg, ch, at: beamform.optimal_two_tx(ch))),
-    "pb-lowcomplexity": Scheme("beamformed", elements=lambda n, nt, m: _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2),
-                               closed_form="beamformed",
+    "pb-lowcomplexity": Scheme(elements=lambda n, nt, m: _LIVE_TEMPORARIES * n * (nt * (nt - 1) // 2),
+                               closed_form=analysis.abep_beamformed,
                                points=_beamformed(lambda cfg, ch, at: beamform.low_complexity_beamform(ch))),
-    "pb-sdr": Scheme("beamformed", elements=_surface_elements, closed_form="beamformed",
+    "pb-sdr": Scheme(elements=_surface_elements, closed_form=analysis.abep_beamformed,
                      points=_beamformed(_sdr_coefficients)),
-    "intelligent-ris-ssk": Scheme("beamformed", elements=_surface_elements, points=_aligned_points),
-    "traditional-ssk": Scheme("direct-link", width=lambda n, nt: 2 * nt, elements=lambda n, nt, m: 2 * nt,
+    "intelligent-ris-ssk": Scheme(elements=_surface_elements, points=_aligned_points),
+    "traditional-ssk": Scheme(width=lambda n, nt: 2 * nt, elements=lambda n, nt, m: 2 * nt,
                               points=lambda cfg, z, at: z.view(np.complex128)),
-    "astbc-fast": Scheme("coded", words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), 2 * nt * m),
-                         closed_form="coded", points=_coded_points,
+    "astbc-fast": Scheme(coded=True, words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), 2 * nt * m),
+                         closed_form=analysis.abep_coded, points=_coded_points,
                          decide=lambda *chunk: _coded_decide(astbc_link.detect_fast, *chunk)),
-    "astbc-optimal": Scheme("coded", words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), nt * m * m),
-                            closed_form="coded", points=_coded_points,
+    "astbc-optimal": Scheme(coded=True, words=2, elements=lambda n, nt, m: max(channel_draw_size(n, nt), nt * m * m),
+                            closed_form=analysis.abep_coded, points=_coded_points,
                             decide=lambda *chunk: _coded_decide(astbc_link.detect_ml, *chunk)),
 }
 
@@ -513,8 +509,8 @@ def _format_cell(name: str, value) -> str:
         return ""
     if name in _INT_COLUMNS:
         return str(int(value))
-    if name == "scheme":
-        return str(value)
+    if isinstance(value, str):  # the scheme
+        return value
     return format(float(value), ".9g")
 
 

@@ -312,11 +312,13 @@ class TestAsymptotics:
 
 
 class TestExtremeSnr:
-    @pytest.mark.parametrize("scheme, m", [("pb", None), ("astbc-optimal", 2)])
+    @pytest.mark.parametrize(
+        "scheme, m", [(s, 2 if row.coded else None) for s, row in SCHEME_TABLE.items() if row.closed_form is not None]
+    )
     @pytest.mark.parametrize("n", [8, 10**12])
     def test_closed_forms_stay_finite(self, scheme, m, n):
         # 3000 dB: the pole term or the exponent overflows for large n, and
-        # the closed forms return their limit instead of nan
+        # every row's closed form returns its limit instead of nan
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             values = [v for v in analytic_abep(SCHEME_TABLE[scheme].closed_form, 1e300, n, 2, m) if v is not None]

@@ -108,6 +108,24 @@ class TestTwoAntennaRule:
         assert [scope for _, scope in sites] == ["_pairs"], sites
 
 
+class TestOneChannelRule:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda ch: min_pairwise_distance(ch, np.ones(ch.n, complex)),
+            lambda ch: brute_force_beamform(ch, 4),
+            lambda ch: sdr_beamform(ch, substream(2, 0, "sdr")),
+        ],
+        ids=["distance", "brute-force", "relaxation"],
+    )
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_one_channel_entry_points_refuse_leading_axes(self, solve, trials):
+        # these failed inside numpy, with a matmul core-dimension mismatch,
+        # an index out of bounds or a size-1 conversion error
+        with pytest.raises(ValueError, match="one channel"):
+            solve(_stack([_channel(4, 2, 2, t) for t in range(trials)]))
+
+
 class TestOptimalTwoTx:
     def test_single_element_example(self):
         # f = 1, g11 = j, g12 = -j: angle(g11 - g12) = pi/2, so theta = 3pi/2

@@ -161,14 +161,26 @@ class TestConfigValidation:
         assert json.loads((tmp_path / "a.json").read_text())[0]["n"] == 8
 
 
+def _compared_strings(node) -> list[str]:
+    """The string constants ``node`` compares with, alone or in a tuple,
+    list or set; none if ``node`` is no comparison."""
+    if not isinstance(node, ast.Compare):
+        return []
+    operands = [node.left, *node.comparators]
+    items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+    return [e.value for e in items if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
 def _is_scheme_name_compare(node) -> bool:
     """Is ``node`` a comparison with a scheme-name string, or with a tuple,
     list or set that holds one?"""
-    if not isinstance(node, ast.Compare):
-        return False
-    operands = [node.left, *node.comparators]
-    items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
-    return any(isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value in harness.SCHEMES for e in items)
+    return any(s in harness.SCHEMES for s in _compared_strings(node))
+
+
+def _is_string_compare(node) -> bool:
+    """Is ``node`` a comparison with any string constant, or with a tuple,
+    list or set that holds one?"""
+    return bool(_compared_strings(node))
 
 
 class TestSchemeTable:
@@ -185,6 +197,19 @@ class TestSchemeTable:
         # the CLI's choices and the tests' parametrizations read SCHEMES
         assert harness.SCHEMES == ("pb", "pb-lowcomplexity", "pb-sdr", "intelligent-ris-ssk", "traditional-ssk",
                                    "astbc-fast", "astbc-optimal")
+
+
+class TestRowsHoldValues:
+    def test_harness_and_analysis_compare_no_strings(self):
+        # a row's closed form is its function and ``coded`` its flag, so the
+        # table's modules branch on no label: a new closed form is a function
+        # in one cell, not a label, a branch and an error path
+        sites = {site for site in _sites(_is_string_compare) if site[0] in ("harness", "analysis")}
+        assert sites == set(), sorted(sites)
+
+    def test_the_guard_sees_labels(self):
+        code = 'self.family == "coded"\nform in ("beamformed", "coded")\nname == "scheme"\nnt == 2\nx is None'
+        assert sum(map(_is_string_compare, ast.walk(ast.parse(code)))) == 3
 
 
 @pytest.fixture
@@ -1040,6 +1065,17 @@ class TestCli:
         assert cli.main(argv) == 2
         assert "sim.cfg:2: expected key = value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["n = 8.0", "trials = 1e3"])
+    def test_config_file_integer_names_its_setting_and_line(self, tmp_path, line, capsys):
+        # these exited with "invalid literal for int() with base 10: '8.0'"
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text(f"scheme = pb\n{line}\n")
+        argv = ["sweep", "--config", str(cfg_file), "--nt", "2", "--snr", "0", "--seed", "0"]
+        argv += ["--n", "8"] if line.startswith("trials") else ["--trials", "10"]
+        assert cli.main(argv) == 2
+        key, value = line.split(" = ")
+        assert f"sim.cfg:2: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+
     def test_analytic_command(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"
         rc = cli.main(
@@ -1138,7 +1174,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500",
-         "0:1e308:1e-300", "-1e308:1e308:1", "1e400", "0,1e400"],
+         "0:1e308:1e-300", "-1e308:1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,"],
     )
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
@@ -1148,7 +1184,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000",
-         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1", "1e400", "0,1e400"],
+         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,"],
     )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
