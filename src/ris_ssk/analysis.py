@@ -20,8 +20,8 @@ from .channel import _integer, _real
 @dataclass(frozen=True)
 class AbepQuery:
     """Operating point for the closed forms: finite positive linear SNR, and
-    the integer element count, antenna count (at least two), and PSK order
-    (ignored by the beamformed scheme)."""
+    the integer element count, then the antenna count and PSK order, each a
+    power of two from two up (M is ignored by the beamformed scheme)."""
 
     rho: float
     n: int
@@ -32,11 +32,8 @@ class AbepQuery:
         object.__setattr__(self, "rho", _real("rho", self.rho))
         if not 0 < self.rho < np.inf:  # also rejects NaN
             raise ValueError(f"linear SNR must be a finite positive number, got {self.rho!r}")
-        for name, least in (("n", 1), ("nt", 2), ("m", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        for name, v in (("nt", self.nt), ("m", self.m)):
-            if v & (v - 1):
-                raise ValueError(f"{name} must be a power of two")
+        for name, least, power_of_two in (("n", 1, False), ("nt", 2, True), ("m", 2, True)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least, power_of_two=power_of_two))
 
 
 @dataclass(frozen=True)

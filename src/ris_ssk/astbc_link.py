@@ -24,9 +24,7 @@ _TWO_PI = 2.0 * np.pi
 
 def psk_phases(m: int) -> np.ndarray:
     """The M-ary phase alphabet {0, 2pi/M, ..., 2pi(M-1)/M}."""
-    m = _integer("PSK order", m, 2)
-    if m & (m - 1):
-        raise ValueError("PSK order must be a power of two >= 2")
+    m = _integer("PSK order", m, 2, power_of_two=True)
     return _TWO_PI * np.arange(m) / m
 
 

@@ -29,11 +29,12 @@ TRIAL_LIMIT = 1 << 48
 SEED_LIMIT = 1 << 64
 
 
-def _integer(name: str, v, least: int | None = None, below: int | None = None) -> int:
-    """``v`` as an int in [least, below), either end optional: the package's
-    one number rule, with :func:`_real`.  Numpy integers are accepted; a bool,
-    numpy.bool or non-integer raises TypeError (True would stand in for 1, 2.5
-    truncate onto another stream), and an out-of-range value ValueError."""
+def _integer(name: str, v, least: int | None = None, below: int | None = None, power_of_two: bool = False) -> int:
+    """``v`` as an int in [least, below), either end optional, and a power of
+    two if asked: the package's one number rule, with :func:`_real`.  Numpy
+    integers are accepted; a bool, numpy.bool or non-integer raises TypeError
+    (True would stand in for 1, 2.5 truncate onto another stream), and a value
+    out of range or not a power of two ValueError."""
     if type(v) is not int:  # the per-trial callers pass plain ints
         if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {v!r}")
@@ -41,6 +42,8 @@ def _integer(name: str, v, least: int | None = None, below: int | None = None) -
     if least is not None and v < least or below is not None and v >= below:
         span = f"at least {least}" if below is None else f"in [{least}, {below})"
         raise ValueError(f"{name} must be {span}, got {v}")
+    if power_of_two and v & (v - 1):
+        raise ValueError(f"{name} must be a power of two, got {v}")
     return v
 
 
@@ -132,10 +135,7 @@ class StreamBank:
 
 
 def _index_shift(bound) -> int:
-    bound = _integer("an index bound", bound, 2, (1 << 32) + 1)
-    if bound & (bound - 1):
-        raise ValueError(f"index bounds must be powers of two, got {bound}")
-    return 33 - bound.bit_length()
+    return 33 - _integer("an index bound", bound, 2, (1 << 32) + 1, power_of_two=True).bit_length()
 
 
 def raw_indices(words, bounds):

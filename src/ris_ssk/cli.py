@@ -20,6 +20,13 @@ from .channel import sample_channel, substream
 _MAX_GRID_POINTS = 10_000
 
 
+def _snr_point(p: str, text: str) -> float:
+    try:
+        return float(p)
+    except ValueError:
+        raise ValueError(f"SNR points must be numbers, not {p.strip()!r}: {text!r}") from None
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grids come as 'start:stop:step' (stop inclusive) or 'a,b,c'; only
     the list form can hold the noiseless point, spelled inf (1e400 is not
@@ -28,7 +35,7 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("grid must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_snr_point(p, text) for p in parts)
         if not np.isfinite((start, stop, step)).all():
             raise ValueError(f"SNR points of a start:stop:step grid must be finite: {text!r}")
         if step <= 0:
@@ -45,9 +52,10 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     points = text.split(",") if text.strip() else []
     if not all(p.strip() for p in points):
         raise ValueError(f"SNR points of an a,b,c grid must not be empty: {text!r}")
-    if any(np.isinf(float(p)) and "inf" not in p.lower() for p in points):
+    values = tuple(_snr_point(p, text) for p in points)
+    if any(np.isinf(v) and "inf" not in p.lower() for p, v in zip(points, values)):
         raise ValueError(f"finite SNR points must lie within +-{harness._SNR_LIMIT_DB:g} dB: {text!r}")
-    return tuple(float(p) for p in points)
+    return values
 
 
 def load_config_file(path: str) -> dict:
@@ -67,6 +75,8 @@ def load_config_file(path: str) -> dict:
                 raise harness.ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
             if key in out:
                 raise harness.ConfigError(f"{path}:{lineno}: repeated setting {key!r}")
+            if not value:  # an empty out would write nothing
+                raise harness.ConfigError(f"{path}:{lineno}: {key} needs a value")
             if key in harness._INT_FIELDS:
                 try:
                     value = int(value)
@@ -76,7 +86,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-_SETTINGS = ("scheme", "snr", "out") + harness._INT_FIELDS
+_SETTINGS = ("scheme", "snr", "out", *harness._INT_FIELDS)
 _REQUIRED = ("scheme", "n", "nt", "snr", "trials", "seed")
 
 
@@ -227,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "json"):  # an empty path would write nothing
+            if getattr(args, flag, None) == "":
+                raise harness.ConfigError(f"--{flag} must name a file, got an empty path")
         return args.func(args)
     except (harness.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

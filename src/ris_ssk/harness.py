@@ -51,28 +51,38 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
-_INT_FIELDS = ("n", "nt", "m", "trials", "seed", "workers", "target_errors")
+# The integer settings and their ranges; Nt and M are powers of two, for
+# log2 Nt source bits a symbol and 2 log2 M surface bits a coded frame.
+_INT_FIELDS = dict(
+    n=dict(least=1), nt=dict(least=2, power_of_two=True), m=dict(least=2, power_of_two=True),
+    trials=dict(least=1), seed=dict(least=0, below=SEED_LIMIT), workers=dict(least=1), target_errors=dict(least=1),
+)
+
+
+def _setting(name: str, v) -> int:
+    """Integer setting ``name`` by the number rule and its ``_INT_FIELDS``
+    range; out of range raises ConfigError, a non-integer TypeError."""
+    try:
+        return _integer(name, v, **_INT_FIELDS[name])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_dimensions(scheme: str, n: int, nt: int, m: int | None) -> tuple[int, int, int | None]:
     """The scheme and dimension rules that sweeps and theory curves share;
     returns (n, nt, m) as ints."""
-    n, nt = _integer("n", n), _integer("nt", nt)
-    m = None if m is None else _integer("m", m)
+    n, nt = _setting("n", n), _setting("nt", nt)
+    m = None if m is None else _setting("m", m)
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     row = SCHEME_TABLE[scheme]
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if nt < 2 or nt & (nt - 1):
-        raise ConfigError("nt must be a power of two >= 2")
     if row.nt is not None and nt != row.nt:
         raise ConfigError(f"scheme {scheme!r} runs only at nt = {row.nt}")
     if row.coded:
         if n % 2:
             raise ConfigError("two-sub-surface coding needs an even element count")
-        if m is None or m < 2 or m & (m - 1):
-            raise ConfigError("coded schemes need a power-of-two PSK order m")
+        if m is None:
+            raise ConfigError("coded schemes need a PSK order m")
     elif m is not None:
         raise ConfigError(f"the PSK order m applies only to the coded schemes, not {scheme!r}")
     return n, nt, m
@@ -130,21 +140,15 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "snr_db_grid", _snr_grid(self.snr_db_grid))
         # held as ints: numpy integers would reach the records and break JSON output
-        for name in _INT_FIELDS:
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        _check_dimensions(self.scheme, self.n, self.nt, self.m)
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        for name, v in zip(("n", "nt", "m"), _check_dimensions(self.scheme, self.n, self.nt, self.m)):
+            object.__setattr__(self, name, v)
+        for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, _setting(name, getattr(self, name)))
+        if self.target_errors is not None:
+            object.__setattr__(self, "target_errors", _setting("target_errors", self.target_errors))
         if self.trials * len(self.snr_db_grid) > TRIAL_LIMIT:
             # point i runs trial indices [i * trials, (i + 1) * trials)
             raise ConfigError("trials times the number of SNR points must be at most 2^48")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError("seed must be in [0, 2^64)")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.target_errors is not None and self.target_errors < 1:
-            raise ConfigError("target_errors must be at least 1")
         if not (self.record_wall_time is True or self.record_wall_time is False):
             # "no" or 2 would switch timing on and break byte-identical output
             raise TypeError(f"record_wall_time must be True or False, got {self.record_wall_time!r}")
@@ -490,9 +494,8 @@ def estimate_diversity_slope(records: list[BerRecord]) -> float:
 def binomial_confidence(errors: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for an error rate (z standard deviations) over
     ``trials`` Bernoulli trials (bits, for a BER); exactly 0 or 1 at the ends."""
-    errors, trials, z = _integer("errors", errors), _integer("trials", trials, 1), _real("z", z)
-    if not 0 <= errors <= trials:
-        raise ValueError(f"errors must be in [0, trials], got {errors} of {trials}")
+    trials, z = _integer("trials", trials, 1), _real("z", z)
+    errors = _integer("errors", errors, 0, trials + 1)
     if not 0 < z < math.inf:  # a negative z inverts the interval, nan makes it (nan, nan)
         raise ValueError(f"z must be finite and positive, got {z}")
     p = errors / trials

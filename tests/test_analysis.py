@@ -11,6 +11,7 @@ from ris_ssk.analysis import (
     PAIR_DISTANCE_PDF,
     AbepQuery,
     GaussianApproxParams,
+    abep_coded,
     abep_pb_two_tx,
     abep_ris,
     abep_ris_asymptotic,
@@ -359,6 +360,14 @@ class TestAbepQueryValidation:
         # a wrong type is a TypeError, a value out of range a ValueError
         with pytest.raises(error):
             AbepQuery(**{"rho": 1.0, "n": 8, **kw})
+
+    def test_refuses_a_frame_without_surface_bits(self):
+        # M = 1 carries 2 log2 M = 0 surface bits, which every sweep refuses;
+        # abep_coded read a surface ABEP of 0.5 there
+        with pytest.raises(ValueError, match="^m must be at least 2, got 1$"):
+            AbepQuery(rho=10.0, n=8, m=1)
+        with pytest.raises(ValueError, match="^m must be at least 2, got 1$"):
+            abep_coded(10.0, 8, 2, 1)
 
     def test_accepts_numpy_integers(self):
         # held as ints, so they give the plain ints' numbers bit for bit

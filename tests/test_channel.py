@@ -156,6 +156,16 @@ def _is_numpy_random_call(node) -> bool:
     return isinstance(f, ast.Name) and f.id in ("np", "numpy") and parts[-1:] == ["random"]
 
 
+def _is_power_of_two_test(node) -> bool:
+    """Is ``node`` the bit test x & (x - 1), zero for a power of two?"""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub)
+        and ast.dump(node.right.left) == ast.dump(node.left)
+        and isinstance(node.right.right, ast.Constant) and node.right.right.value == 1
+    )
+
+
 def _sites(is_site) -> set[tuple[str, int, str]]:
     """(module, line, enclosing function's qualified name) of every node
     in the package's modules for which ``is_site`` holds."""
@@ -183,6 +193,21 @@ class TestNumberRule:
         sites = _sites(_is_type_check)
         scopes = {(module, scope) for module, _, scope in sites}
         assert scopes == {("channel", "_integer"), ("channel", "_real")}, sorted(sites)
+
+    def test_power_of_two_tests_live_only_in_the_integer_rule(self):
+        # Nt, M and index bounds are powers of two through _integer's
+        # power_of_two keyword, one test with one message, not a copy per module
+        sites = _sites(_is_power_of_two_test)
+        assert {(module, scope) for module, _, scope in sites} == {("channel", "_integer")}, sorted(sites)
+        assert len(sites) == 1, sorted(sites)
+
+    def test_power_of_two_guard_sees_the_bit_test(self):
+        flagged = [
+            _is_power_of_two_test(ast.parse(text, mode="eval").body)
+            for text in ("v & (v - 1)", "self.m & (self.m - 1)", "v & (w - 1)", "v & (v - 2)", "v | (v - 1)",
+                         "acc & (s < t)", "(v - 1) & v")
+        ]
+        assert flagged == [True, True, False, False, False, False, False]
 
 
 class TestStreamKey:

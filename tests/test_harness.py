@@ -54,30 +54,31 @@ def _csv_rows(path) -> list[dict]:
 
 
 # Each invalid config and the error it raises: ConfigError for a value
-# out of range, TypeError for a wrong type.
+# out of range, TypeError for a wrong type.  A range case also gives its
+# message, which names the setting in the number rule's one form.
 _INVALID_CONFIGS = [
     (dict(scheme="nope"), ConfigError),
-    (dict(n=0), ConfigError),
-    (dict(nt=3), ConfigError),
+    (dict(n=0), ConfigError, "n must be at least 1, got 0"),
+    (dict(nt=3), ConfigError, "nt must be a power of two, got 3"),
     (dict(scheme="pb", nt=4), ConfigError),
     (dict(scheme="astbc-fast", m=None), ConfigError),
-    (dict(scheme="astbc-fast", m=3), ConfigError),
+    (dict(scheme="astbc-fast", m=3), ConfigError, "m must be a power of two, got 3"),
     (dict(scheme="astbc-fast", n=7, m=2), ConfigError),
     (dict(snr_db_grid=()), ConfigError),
     (dict(snr_db_grid=(-10.0, -10.0)), ConfigError),
     (dict(snr_db_grid=(-10.0, -12.0)), ConfigError),
-    (dict(trials=0), ConfigError),
-    (dict(seed=-1), ConfigError),
-    (dict(seed=2**64 + 5), ConfigError),
-    (dict(workers=0), ConfigError),
-    (dict(target_errors=0), ConfigError),
+    (dict(trials=0), ConfigError, "trials must be at least 1, got 0"),
+    (dict(seed=-1), ConfigError, f"seed must be in [0, {2**64}), got -1"),
+    (dict(seed=2**64 + 5), ConfigError, f"seed must be in [0, {2**64}), got {2**64 + 5}"),
+    (dict(workers=0), ConfigError, "workers must be at least 1, got 0"),
+    (dict(target_errors=0), ConfigError, "target_errors must be at least 1, got 0"),
     (dict(snr_db_grid=(math.nan,)), ConfigError),
     (dict(snr_db_grid=(-math.inf,)), ConfigError),
     (dict(snr_db_grid=(-10.0, math.nan)), ConfigError),
     (dict(scheme="pb", m=4), ConfigError),
     (dict(scheme="pb-sdr", nt=4, m=2), ConfigError),
     (dict(scheme="traditional-ssk", m=2), ConfigError),
-    (dict(scheme="astbc-optimal", m=1), ConfigError),
+    (dict(scheme="astbc-optimal", m=1), ConfigError, "m must be at least 2, got 1"),
     # Non-integers are a TypeError: a float seed would alias an
     # integer seed's streams; the others would fail deep in the kernel.
     (dict(seed=2.5), TypeError),
@@ -117,10 +118,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, trials=0)
 
-    @pytest.mark.parametrize("kw, error", _INVALID_CONFIGS, ids=[f"kw{i}" for i in range(len(_INVALID_CONFIGS))])
-    def test_rejects_invalid(self, kw, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize(
+        "kw, error, message", [(*case, None)[:3] for case in _INVALID_CONFIGS],
+        ids=[f"kw{i}" for i in range(len(_INVALID_CONFIGS))],
+    )
+    def test_rejects_invalid(self, kw, error, message):
+        with pytest.raises(error) as info:
             _cfg(**kw)
+        assert message is None or str(info.value) == message
 
     @pytest.mark.parametrize(
         "grid",
@@ -1163,6 +1168,28 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [("sweep", ["--out="], "--out must name a file, got an empty path"),
+         ("sweep", ["--json="], "--json must name a file, got an empty path"),
+         ("config", [], "sim.cfg:7: out needs a value"),
+         ("analytic", ["--out="], "--out must name a file, got an empty path")],
+    )
+    def test_empty_output_path_is_refused(self, command, extra, message, tmp_path, monkeypatch, capsys):
+        # each exited 0 after printing its points, with no file written
+        monkeypatch.setattr(harness, "_run_point", lambda *a: pytest.fail("a point ran"))
+        monkeypatch.setattr(harness, "analytic_sweep", lambda *a: pytest.fail("a point ran"))
+        if command == "analytic":
+            argv = ["analytic", "--scheme", "pb", "--n", "8", "--snr=0"]
+        else:
+            cfg_file = tmp_path / "sim.cfg"
+            cfg_file.write_text("scheme = pb\nn = 8\nnt = 2\nsnr = 0\ntrials = 10\nseed = 0\n"
+                                + ("out =\n" if command == "config" else ""))
+            argv = ["sweep", "--config", str(cfg_file)]
+        assert cli.main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+
     def test_pb_sdr_rejects_psk_order(self):
         base = ["sweep", "--scheme", "pb-sdr", "--n", "4", "--nt", "4", "--snr", "0", "--trials", "1", "--seed", "0"]
         assert cli.main(base + ["--m", "2"]) == 2
@@ -1174,7 +1201,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "-4000", "4000", "3500",
-         "0:1e308:1e-300", "-1e308:1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,"],
+         "0:1e308:1e-300", "-1e308:1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,", "abc", "0:3:1x", "1,two"],
     )
     def test_non_numeric_snr_exit_code(self, snr, capsys):
         assert cli.main(["sweep", "--scheme", "astbc-optimal", "--n", "8", "--nt", "2", "--m", "2",
@@ -1184,7 +1211,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "snr",
         ["nan", "-inf", "5,0", "0:inf:1", "-inf:0:1", "0:1:inf", "0:1000000:0.000001", "4000", "-4000",
-         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,"],
+         "-1e308:1e308:1", "0:1e308:1e-300", "1e308:-1e308:1", "1e400", "0,1e400", "0,,3", ",0", "0,3,", "abc",
+         "0:3:1x", "1,two"],
     )
     def test_analytic_rejects_bad_snr_grid(self, snr, capsys):
         assert cli.main(["analytic", "--scheme", "pb", "--n", "8", f"--snr={snr}"]) == 2
